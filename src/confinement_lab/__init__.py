@@ -18,7 +18,7 @@ from .functionals import FunctionalReport, gradient, pohozaev_residual, report, 
 from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
                            SolverOptions, linearized_smallest_eigs, nehari_scale,
                            solve_chi, solve_ground_state)
-from .limits import (RadialProfile1D, ShotProfile, Soliton1D, reference_profile,
+from .limits import (ShotProfile, Soliton1D, reference_profile,
                      shoot_1d, shoot_3d, soliton_1d)
 from .scaling import ScalingReport, from_v, from_w, scaling_report, to_v, to_w
 from .branch import (BranchCurve, MassPair, asymptotic_constants, find_mass_pair,
@@ -31,7 +31,7 @@ __all__ = [
     "FunctionalReport", "gradient", "pohozaev_residual", "report", "scaled_actions",
     "GroundStateResult", "LinearizedOperator", "Resolution", "SolverOptions",
     "linearized_smallest_eigs", "nehari_scale", "solve_chi", "solve_ground_state",
-    "RadialProfile1D", "ShotProfile", "Soliton1D", "reference_profile",
+    "ShotProfile", "Soliton1D", "reference_profile",
     "shoot_1d", "shoot_3d", "soliton_1d",
     "ScalingReport", "from_v", "from_w", "scaling_report", "to_v", "to_w",
     "BranchCurve", "MassPair", "asymptotic_constants", "find_mass_pair",

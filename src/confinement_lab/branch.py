@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import LAMBDA0, ModelParams
-from .errors import (BracketNotFound, InsufficientTail, MassTooLarge,
-                     NearSingular, NotConverged)
+from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
+                     MassTooLarge, NearSingular, NotConverged)
 from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
                            SolverOptions, linearized_smallest_eigs,
                            solve_chi, solve_ground_state)
@@ -187,7 +187,7 @@ def _continued_solve(p, lam, warm, resolution, opts, depth=0):
         result = solve_ground_state(params, init=init, resolution=resolution, opts=opts)
         if result.iterations <= REFINE_ITERS or warm is None:
             return result
-    except Exception:
+    except ConfinementLabError:
         result = None
     if warm is None or abs(lam - warm.params.lam) <= REFINE_MIN_STEP or depth >= 8:
         if result is not None:
@@ -206,7 +206,7 @@ def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
     for lam in chain:
         try:
             result = _continued_solve(p, lam, warm, resolution, opts)
-        except Exception as exc:
+        except ConfinementLabError as exc:
             failures.append((lam, repr(exc)))
             continue
         warm = result

@@ -101,14 +101,6 @@ class Field:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_values(cls, grid, values, real=True, even_z=False) -> "Field":
-        return cls(grid, values=values, real=real, even_z=even_z)
-
-    @classmethod
-    def from_coeffs(cls, grid, coeffs, real=True, even_z=False) -> "Field":
-        return cls(grid, coeffs=coeffs, real=real, even_z=even_z)
-
-    @classmethod
     def zero(cls, grid, real=True) -> "Field":
         return cls(grid, values=np.zeros((grid.nr, grid.Mz)), real=real, even_z=True)
 

@@ -40,6 +40,10 @@ class NotConverged(ConfinementLabError):
         super().__init__(f"{what} not converged after {iterations} iterations (residual {last_residual:.3e})")
 
 
+class NotCoercive(ConfinementLabError, ValueError):
+    """Quadratic part of the action not positive: no Nehari scale exists."""
+
+
 class CollapsedToZero(ConfinementLabError):
     """The iterate lost essentially all of its mass (bad init or step size)."""
 

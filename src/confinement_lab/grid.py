@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft
+from scipy.fft import dct, fft, ifft
 from scipy.linalg import cholesky, eigh_tridiagonal, solve_banded, solve_triangular
 
 from .errors import GramCheckFailed, ShapeMismatch, SingularMode
@@ -88,6 +88,8 @@ class Discretization:
     phi: np.ndarray        # basis values phi_k(r_i), shape (nr, K)
     proj: np.ndarray       # wrad-weighted projector, shape (K, nr)
     phase: np.ndarray = field(repr=False, default=None)
+    wz: np.ndarray = field(repr=False, default=None)      # even-sector weights (1, 2, ..., 2, 1)
+    sqrt_wz: np.ndarray = field(repr=False, default=None)
     _x1_diag: np.ndarray = field(repr=False, default=None)
     _x1_off: np.ndarray = field(repr=False, default=None)
 
@@ -111,6 +113,48 @@ class Discretization:
         """Integral over R^3 of a nodally sampled function."""
         return (self.wrad @ values).sum() * self.dz
 
+    # -- even-in-z real sector ----------------------------------------------
+    # For real fields even in z the full-grid FFT reduces to a DCT-I over the
+    # half grid, the Mz/2+1 nodes z = n dz >= 0, with real coefficients
+    # c_{-m} = c_m.  They are kept sqrt(w)-weighted, w = (1, 2, ..., 2, 1), so
+    # Euclidean sums over (..., K, Mz/2+1) equal full-grid sums.  Any leading
+    # batch axes work.
+
+    def to_even(self, values: np.ndarray) -> np.ndarray:
+        """Half-grid nodal samples -> sqrt(w)-weighted even coefficients."""
+        out = dct(self.proj @ values, type=1, axis=-1, overwrite_x=True)
+        out *= (self.dz / np.sqrt(2.0 * self.Lz)) * self.sqrt_wz
+        return out
+
+    def from_even(self, coeffs: np.ndarray) -> np.ndarray:
+        """sqrt(w)-weighted even coefficients -> half-grid nodal samples."""
+        axial = coeffs / (self.sqrt_wz * np.sqrt(2.0 * self.Lz))
+        return self.phi @ dct(axial, type=1, axis=-1, overwrite_x=True)
+
+    def quad_even(self, values: np.ndarray) -> float | np.ndarray:
+        """Integral over R^3 of an even function sampled on the half grid."""
+        return ((self.wrad @ values) @ self.wz) * self.dz
+
+    def half_values(self, values: np.ndarray) -> np.ndarray:
+        """Full-grid nodal values -> the half grid (node 0, z = -Lz, is the
+        periodic image of z = Lz)."""
+        return np.roll(values, -(self.Mz // 2), axis=-1)[..., : self.Mz // 2 + 1]
+
+    def reduce_even(self, coeffs: np.ndarray) -> np.ndarray:
+        """Full-grid coefficients -> even-sector coefficients of their
+        orthogonal projection onto real, even-in-z fields."""
+        half = self.Mz // 2
+        c = coeffs.real
+        return self.sqrt_wz * 0.5 * (c[..., : half + 1] + c[..., -np.arange(half + 1)])
+
+    def expand_even(self, coeffs: np.ndarray, values: np.ndarray | None = None):
+        """Even-sector coefficients (and half-grid values) -> full grid."""
+        j = np.arange(self.Mz)
+        full = (coeffs / self.sqrt_wz)[..., np.minimum(j, self.Mz - j)]
+        if values is None:
+            return full
+        return full, values[..., np.abs(j - self.Mz // 2)]
+
     # -- linear operators ---------------------------------------------------
 
     def tridiag_coef(self, a: float, b_trap: float) -> float:
@@ -119,6 +163,11 @@ class Discretization:
         = a*diag(osc_eigs) + (b_trap - a*omega^2) * X."""
         return b_trap - a * self.omega**2
 
+    def diagonal(self, ncols: int, kin_y: float, kin_z: float, const: float) -> np.ndarray:
+        """kin_y*osc_eigs + kin_z*xi^2 + const on Mz (full) or Mz/2+1 (even
+        sector: |xi| of the first Mz/2+1 FFT-order modes) axial columns."""
+        return kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :ncols] ** 2 + const
+
     def apply_operator(self, coeffs: np.ndarray, kin_y: float, trap: float,
                        kin_z: float, const: float) -> np.ndarray:
         """Apply kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const.
@@ -126,8 +175,7 @@ class Discretization:
         Diagonal when trap == kin_y * omega^2; otherwise the radial part
         picks up the symmetric tridiagonal matrix of |y|^2.
         """
-        diag = kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :] ** 2 + const
-        out = diag * coeffs
+        out = self.diagonal(coeffs.shape[-1], kin_y, kin_z, const) * coeffs
         gamma = self.tridiag_coef(kin_y, trap)
         if gamma != 0.0:
             out += gamma * self._x1_mult(coeffs)
@@ -136,24 +184,20 @@ class Discretization:
     def _x1_mult(self, coeffs: np.ndarray) -> np.ndarray:
         """Multiply by the (tridiagonal) matrix of |y|^2 in this basis."""
         out = self._x1_diag[:, None] * coeffs
-        out[:-1] += self._x1_off[:, None] * coeffs[1:]
-        out[1:] += self._x1_off[:, None] * coeffs[:-1]
+        out[..., :-1, :] += self._x1_off[:, None] * coeffs[..., 1:, :]
+        out[..., 1:, :] += self._x1_off[:, None] * coeffs[..., :-1, :]
         return out
 
     def quadform(self, coeffs: np.ndarray, kin_y: float, trap: float,
                  kin_z: float, const: float) -> float:
         """<u, A u> for the same operator family (real part)."""
-        diag = kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :] ** 2 + const
-        val = float(np.sum(diag * np.abs(coeffs) ** 2))
-        gamma = self.tridiag_coef(kin_y, trap)
-        if gamma != 0.0:
-            val += gamma * float(np.real(np.sum(np.conj(coeffs) * self._x1_mult(coeffs))))
-        return val
+        au = self.apply_operator(coeffs, kin_y, trap, kin_z, const)
+        return float(np.real(np.sum(np.conj(coeffs) * au)))
 
     def solve_operator(self, coeffs: np.ndarray, kin_y: float, trap: float,
                        kin_z: float, const: float) -> np.ndarray:
         """Invert the same operator family on the retained modes."""
-        diag = kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :] ** 2 + const
+        diag = self.diagonal(self.Mz, kin_y, kin_z, const)
         gamma = self.tridiag_coef(kin_y, trap)
         if gamma == 0.0:
             scale = np.abs(diag).max()
@@ -200,7 +244,7 @@ class Discretization:
         """Diagonal weights of the trap-weighted H inner product (omega == 1)."""
         if self.omega != 1.0:
             raise ShapeMismatch("H weights are diagonal only on unit-frequency grids")
-        return self.osc_eigs[:, None] + self.xi[None, :] ** 2 + 1.0
+        return self.diagonal(self.Mz, 1.0, 1.0, 1.0)
 
     def compatible(self, other: "Discretization") -> bool:
         return (self.K == other.K and self.Mz == other.Mz
@@ -262,13 +306,16 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
     xi = np.pi * m / Lz
     phase = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
     osc = omega * (4.0 * np.arange(K) + 2.0)
+    wz = np.r_[1.0, np.full(Mz // 2 - 1, 2.0), 1.0]
+    sqrt_wz = np.sqrt(wz)
 
     k = np.arange(K, dtype=float)
     x1_diag = (2.0 * k + 1.0) / omega
     x1_off = -(k[:-1] + 1.0) / omega
 
-    for arr in (t, r, wrad, z, xi, phase, osc, phi, proj, x1_diag, x1_off):
+    for arr in (t, r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1_diag, x1_off):
         arr.setflags(write=False)
     return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=nr, t=t, r=r,
                           wrad=wrad, z=z, dz=dz, xi=xi, osc_eigs=osc, phi=phi,
-                          proj=proj, phase=phase, _x1_diag=x1_diag, _x1_off=x1_off)
+                          proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz,
+                          _x1_diag=x1_diag, _x1_off=x1_off)

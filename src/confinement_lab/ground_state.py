@@ -8,9 +8,11 @@ on a box stretched so the axial tail fits.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
-(indefinite, self-adjoint) linear systems with MINRES; iterates stay in
-the even-in-z, radial sector by construction, which freezes the axial
-translation invariance.
+(indefinite, self-adjoint) linear systems with MINRES.  Iterates, the
+Hessian (with a block product for LOBPCG) and the linearized solves all
+live on the grid's real even-in-z representation (Discretization.to_even:
+a DCT-I over the nodes z >= 0), which freezes the axial translation
+invariance; results are expanded to the full grid once per solve.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, minres
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, minres
 
 from .core import Field, ModelParams
 from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
-                     NotConverged, ZeroField)
-from .functionals import report
+                     NotCoercive, NotConverged, ZeroField)
 from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, build
 from .limits import free_soliton_field, reference_profile, soliton_1d, planar_ground_mode
 from .scaling import branch_derivative_from_v, from_v, to_v
@@ -52,7 +53,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class StationaryProblem:
-    """[kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const] u = nonlin*|u|^{p-2}u."""
+    """[kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const] u = nonlin*|u|^{p-2}u,
+    on the grid's even-sector arrays (apply_lin also takes full ones)."""
 
     grid: Discretization
     p: float
@@ -70,20 +72,21 @@ class StationaryProblem:
 
     def precond_diag(self) -> np.ndarray:
         g = self.grid
-        d = (self.kin_y * g.osc_eigs[:, None] + self.kin_z * g.xi[None, :] ** 2 + self.const
+        d = (g.diagonal(g.Mz // 2 + 1, self.kin_y, self.kin_z, self.const)
              + g.tridiag_coef(self.kin_y, self.trap) * g._x1_diag[:, None])
         return np.maximum(d, 1e-6)
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
-        vals = self.nonlin * np.abs(values) ** (self.p - 2.0) * values
-        return self.grid.to_coeffs(vals.astype(complex)).real
+        return self.grid.to_even(self.nonlin * np.abs(values) ** (self.p - 2.0) * values)
 
     def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.apply_lin(coeffs) - self.nonlinear_coeffs(values)
 
+    def lp_integral(self, values: np.ndarray) -> float:
+        return float(self.grid.quad_even(np.abs(values) ** self.p))
+
     def action_value(self, coeffs: np.ndarray, values: np.ndarray) -> float:
-        lp = float(self.grid.quad(np.abs(values) ** self.p))
-        return 0.5 * self.quadform_lin(coeffs) - self.nonlin * lp / self.p
+        return 0.5 * self.quadform_lin(coeffs) - self.nonlin * self.lp_integral(values) / self.p
 
 
 def problem_physical(params: ModelParams, grid: Discretization) -> StationaryProblem:
@@ -94,50 +97,12 @@ def problem_weak_trap(p: float, mu: float, grid: Discretization) -> StationaryPr
     return StationaryProblem(grid=grid, p=p, trap=mu, const=1.0)
 
 
-# -- even-in-z real sector ------------------------------------------------------
-
-class SectorMap:
-    """Isometry between even-in-z real fields and real vectors.
-
-    For such fields the spectral coefficients are real and symmetric in the
-    axial index, so the K*(Mz/2+1) independent entries (with sqrt(2)
-    weights on the doubled ones) carry the full Euclidean structure.
-    """
-
-    def __init__(self, grid: Discretization):
-        self.grid = grid
-        self.half = grid.Mz // 2
-        self.size = grid.K * (self.half + 1)
-        self._w = np.full(self.half + 1, np.sqrt(2.0))
-        self._w[0] = 1.0
-        self._w[-1] = 1.0
-
-    def to_vec(self, coeffs: np.ndarray) -> np.ndarray:
-        return (coeffs[:, : self.half + 1].real * self._w).ravel()
-
-    def from_vec(self, x: np.ndarray) -> np.ndarray:
-        half = self.half
-        red = x.reshape(self.grid.K, half + 1) / self._w
-        out = np.empty((self.grid.K, self.grid.Mz))
-        out[:, : half + 1] = red
-        out[:, half + 1:] = red[:, half - 1:0:-1]
-        return out
-
-
-def symmetrize_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Project spectral coefficients onto the even-in-z real sector."""
-    c = coeffs.real.copy()
-    half = c.shape[1] // 2
-    c[:, 1:] = 0.5 * (c[:, 1:] + c[:, :0:-1])
-    return c
-
-
 # -- core iteration --------------------------------------------------------------
 
 @dataclass
 class IterationResult:
-    coeffs: np.ndarray
-    values: np.ndarray
+    coeffs: np.ndarray      # full grid (K, Mz), real
+    values: np.ndarray      # full grid (nr, Mz), real
     action: float
     grad_norm: float
     nehari_residual: float
@@ -147,78 +112,80 @@ class IterationResult:
     action_history: list
 
 
-def nehari_scale_t(problem: StationaryProblem, coeffs: np.ndarray,
-                   values: np.ndarray) -> float:
-    """Unique positive scale t with t*u on the Nehari set of the problem."""
-    lp = float(problem.grid.quad(np.abs(values) ** problem.p))
+def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
+    """Unique positive scale t with t*u on the Nehari set of the problem,
+    from the quadratic form and the L^p integral of u."""
     if lp <= 0.0:
         raise ZeroField("Nehari projection of a (numerically) zero field")
-    quad = problem.quadform_lin(coeffs)
     if quad <= 0.0:
-        raise ValueError("quadratic form not positive; frequency out of range")
+        raise NotCoercive("quadratic form not positive; frequency out of range")
     return (quad / (problem.nonlin * lp)) ** (1.0 / (problem.p - 2.0))
 
 
 def _project(problem, coeffs):
-    values = problem.grid.from_coeffs(coeffs.astype(complex)).real
-    t = nehari_scale_t(problem, coeffs, values)
+    values = problem.grid.from_even(coeffs)
+    t = nehari_scale_t(problem, problem.quadform_lin(coeffs), problem.lp_integral(values))
     return t * coeffs, t * values
 
 
-def _sector_hessian(problem: StationaryProblem, values: np.ndarray,
-                    sector: SectorMap) -> LinearOperator:
+def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> LinearOperator:
+    """Hessian on flattened even-sector coefficients; the block product
+    applies all columns with one transform pair."""
     g = problem.grid
     w = problem.nonlin * (problem.p - 1.0) * np.abs(values) ** (problem.p - 2.0)
+    n = g.K * (g.Mz // 2 + 1)
 
-    def mv(x):
-        c = sector.from_vec(x)
+    def mm(x):
+        c = x.T.reshape(-1, g.K, g.Mz // 2 + 1)
+        nodal = g.from_even(c)
+        nodal *= w
         out = problem.apply_lin(c)
-        nodal = g.from_coeffs(c.astype(complex)).real
-        out = out - g.to_coeffs((w * nodal).astype(complex)).real
-        return sector.to_vec(out)
+        out -= g.to_even(nodal)
+        return out.reshape(-1, n).T
 
-    return LinearOperator((sector.size, sector.size), matvec=mv, dtype=float)
+    return LinearOperator((n, n), matvec=mm, matmat=mm, dtype=float)
 
 
-def _sector_precond(problem: StationaryProblem, sector: SectorMap) -> LinearOperator:
-    dv = np.ascontiguousarray(problem.precond_diag()[:, : sector.half + 1]).ravel()
+def _sector_precond(problem: StationaryProblem) -> LinearOperator:
+    dv = problem.precond_diag().reshape(-1, 1)
 
-    def mv(x):
-        if x.ndim == 2:
-            return x / dv[:, None]
-        return x / dv
+    def mm(x):
+        return (x.reshape(dv.size, -1) / dv).reshape(x.shape)
 
-    return LinearOperator((sector.size, sector.size), matvec=mv, matmat=mv, dtype=float)
+    return LinearOperator((dv.size, dv.size), matvec=mm, matmat=mm, dtype=float)
 
 
 def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
                          opts: SolverOptions = SolverOptions()) -> IterationResult:
-    """Nehari-projected preconditioned descent, then Newton refinement."""
-    g = problem.grid
-    c = symmetrize_coeffs(coeffs0)
+    """Nehari-projected preconditioned descent, then Newton refinement.
+
+    coeffs0 is an even-sector start (see Discretization.reduce_even).
+    """
+    c = np.array(coeffs0, dtype=float)
     if float(np.sum(c * c)) < opts.collapse_mass:
         raise CollapsedToZero("initial iterate has (numerically) zero mass")
     c, un = _project(problem, c)
     J = problem.action_value(c, un)
     actions = [J]
     pre = problem.precond_diag()
+    mpre = _sector_precond(problem)
     alpha = 1.0
     prev_c = prev_grad = None
     it = 0
     newton_used = 0
-    sector = None
+    newton_below = np.inf   # after a failed Newton step, descend below this first
     mode = "gradient"
 
-    while it < opts.max_iter:
+    while True:
         it += 1
         grad = problem.gradient_coeffs(c, un)
-        grad = symmetrize_coeffs(grad)
         gn = float(np.sqrt(np.sum(grad * grad)))
-        lp = float(g.quad(np.abs(un) ** problem.p))
+        lp = problem.lp_integral(un)
         quad = problem.quadform_lin(c)
         res = quad - problem.nonlin * lp
-        if gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300):
-            return IterationResult(c, un, J, gn, res, lp, it, True, actions)
+        converged = gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300)
+        if converged or it > opts.max_iter:
+            break
         mass = float(np.sum(c * c))
         if mass < opts.collapse_mass:
             raise CollapsedToZero(f"iterate mass collapsed at iteration {it}")
@@ -227,30 +194,25 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         # scale, else the refinement can lock onto a nearby excited critical
         # point before the descent has relaxed the profile
         gscale = quad / np.sqrt(mass)
-        if mode == "gradient" and gn < min(opts.newton_switch, 1e-4 * gscale):
+        if mode == "gradient" and gn < min(opts.newton_switch, 1e-4 * gscale, newton_below):
             mode = "newton"
         if mode == "newton":
             if newton_used >= opts.max_newton:
                 break
             newton_used += 1
-            if sector is None:
-                sector = SectorMap(g)
-                mpre = _sector_precond(problem, sector)
-            hess = _sector_hessian(problem, un, sector)
-            rhs = sector.to_vec(grad)
             rtol = min(0.1, np.sqrt(gn))
-            delta, info = minres(hess, rhs, M=mpre, rtol=rtol, maxiter=400)
-            step = sector.from_vec(delta)
+            delta, info = minres(_sector_hessian(problem, un), grad.ravel(), M=mpre,
+                                 rtol=rtol, maxiter=400)
+            step = delta.reshape(c.shape)
             ok = False
-            for _ in range(8):
+            for _ in range(8 if info == 0 else 0):   # a failed solve gives no step
                 try:
                     c_try, un_try = _project(problem, c - step)
                 except ZeroField:
                     step = 0.5 * step
                     continue
-                grad_try = symmetrize_coeffs(problem.gradient_coeffs(c_try, un_try))
-                gn_try = float(np.sqrt(np.sum(grad_try * grad_try)))
-                if gn_try < gn:
+                grad_try = problem.gradient_coeffs(c_try, un_try)
+                if float(np.sqrt(np.sum(grad_try * grad_try))) < gn:
                     c, un = c_try, un_try
                     J = problem.action_value(c, un)
                     ok = True
@@ -258,6 +220,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
                 step = 0.5 * step
             if not ok:
                 mode = "gradient"   # Newton stalled; resume descent
+                newton_below = 0.5 * gn
                 alpha = 1.0
             continue
 
@@ -286,12 +249,9 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         c, un, J = c_try, un_try, J_try
         actions.append(J)
 
-    grad = symmetrize_coeffs(problem.gradient_coeffs(c, un))
-    gn = float(np.sqrt(np.sum(grad * grad)))
-    lp = float(g.quad(np.abs(un) ** problem.p))
-    res = problem.quadform_lin(c) - problem.nonlin * lp
-    converged = gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300)
-    return IterationResult(c, un, J, gn, res, lp, it, converged, actions)
+    coeffs, values = problem.grid.expand_even(c, un)
+    return IterationResult(coeffs, values, J, gn, res, lp, min(it, opts.max_iter),
+                           converged, actions)
 
 
 # -- public API -------------------------------------------------------------------
@@ -312,14 +272,12 @@ class GroundStateResult:
     native_gradient_norm: float = 0.0
     action_history: list = field(default_factory=list)
 
-    def functional_report(self):
-        return report(self.u, self.params)
-
 
 def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
-    """Scale u onto the Nehari set of the physical problem at params."""
+    """Scale any field u onto the Nehari set of the physical problem at params."""
     prob = problem_physical(params, u.grid)
-    t = nehari_scale_t(prob, u.coeffs, u.values)
+    lp = float(u.grid.quad(np.abs(u.values) ** prob.p))
+    t = nehari_scale_t(prob, prob.quadform_lin(u.coeffs), lp)
     return t, t * u
 
 
@@ -341,21 +299,21 @@ def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> tupl
 
 
 def _starts(picture: str, params: ModelParams, grid: Discretization) -> dict[str, np.ndarray]:
+    """Even-sector start coefficients by name."""
     p = params.p
     out = {}
-    gauss = np.exp(-(grid.r[:, None] ** 2 + grid.z[None, :] ** 2) / 2.0)
+    z = grid.half_values(grid.z)   # only even functions of z are sampled
     if picture == "u":
         if params.tau < 1.0:
-            out["near"] = reference_profile(params, "near", grid).coeffs.real
+            out["near"] = grid.reduce_even(reference_profile(params, "near", grid).coeffs)
         else:
             sol = soliton_1d(p)   # factorized guess without the tau-rescale
-            vals = np.outer(planar_ground_mode(grid), sol(grid.z))
-            out["near"] = grid.to_coeffs(vals.astype(complex)).real
+            out["near"] = grid.to_even(np.outer(planar_ground_mode(grid), sol(z)))
         if params.lam < 0:
-            out["far"] = reference_profile(params, "far", grid).coeffs.real
+            out["far"] = grid.reduce_even(reference_profile(params, "far", grid).coeffs)
     else:
-        out["far"] = free_soliton_field(p, grid).coeffs.real
-    out["gaussian"] = grid.to_coeffs(gauss.astype(complex)).real
+        out["far"] = grid.reduce_even(free_soliton_field(p, grid).coeffs)
+    out["gaussian"] = grid.to_even(np.exp(-(grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
     return out
 
 
@@ -393,7 +351,7 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
         if not src.grid.compatible(grid):
             from .scaling import resample
             src = resample(src, grid, check_tail=False)
-        starts = [symmetrize_coeffs(src.coeffs)]
+        starts = [grid.reduce_even(src.coeffs)]
         if float(np.sum(starts[0] ** 2)) < opts.collapse_mass:
             raise ZeroField("init field is zero after symmetrization")
     elif isinstance(init, str):
@@ -427,7 +385,7 @@ def _package_result(params: ModelParams, picture: str, prob: StationaryProblem,
     # tail, so the floor is measured rather than fixed
     tail = float(np.linalg.norm(res.coeffs[-4:, :]) / np.linalg.norm(res.coeffs))
     positive = vmin >= -max(1e-8, tail) * vmax
-    native = Field(prob.grid, values=res.values, coeffs=res.coeffs.astype(complex),
+    native = Field(prob.grid, values=res.values, coeffs=res.coeffs,
                    real=True, even_z=True, positive=positive)
     if picture == "v":
         u = from_v(native, params.lam, params.p)
@@ -475,12 +433,16 @@ class LinearizedOperator:
         prob = self.problem
         w = prob.nonlin * (prob.p - 1.0) * np.abs(self.base_values) ** (prob.p - 2.0)
         out = prob.apply_lin(f.coeffs)
-        out = out - prob.grid.to_coeffs((w * f.values).astype(complex))
+        out = out - prob.grid.to_coeffs(w * f.values)
         return Field(prob.grid, coeffs=out, real=f.real, even_z=f.even_z)
 
-    def sector_operator(self) -> tuple[LinearOperator, SectorMap]:
-        sector = SectorMap(self.problem.grid)
-        return _sector_hessian(self.problem, self.base_values, sector), sector
+    def sector_operator(self) -> LinearOperator:
+        """Restriction to the even sector, on flattened even coefficients."""
+        return _sector_hessian(self.problem, self.problem.grid.half_values(self.base_values))
+
+
+# what a failed block or Lanczos eigensolve raises (ArpackNoConvergence included)
+_EIG_ERRORS = (np.linalg.LinAlgError, ValueError, ArpackError)
 
 
 def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
@@ -492,29 +454,28 @@ def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
     back to Lanczos if the block iteration fails.  Each returned pair is
     residual-checked to 1e-6 * ||phi||.
     """
-    op, sector = lin.sector_operator()
-    pre = _sector_precond(lin.problem, sector)
+    g = lin.problem.grid
+    op = lin.sector_operator()
+    pre = _sector_precond(lin.problem)
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((sector.size, n))
-    seed = sector.to_vec(lin.problem.grid.to_coeffs(
-        lin.base_values.astype(complex)).real)
+    X = rng.standard_normal((op.shape[0], n))
+    seed = g.to_even(g.half_values(lin.base_values)).ravel()
     if np.linalg.norm(seed) > 1e-10:
         X[:, 0] = seed
     try:
         vals, vecs = lobpcg(op, X, M=pre, largest=False, tol=tol,
                             maxiter=maxiter, verbosityLevel=0)
-    except Exception:
+    except _EIG_ERRORS:
         try:
             vals, vecs = eigsh(op, k=n, which="SA", tol=1e-9, maxiter=5000)
-        except Exception as exc:
+        except _EIG_ERRORS as exc:
             raise EigsNotConverged(str(exc)) from exc
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
     out = []
     for i in range(n):
-        c = sector.from_vec(vecs[:, i])
-        f = Field(lin.problem.grid, coeffs=c.astype(complex), real=True, even_z=True)
+        f = Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)), real=True, even_z=True)
         resid = lin.apply_field(f) - float(vals[i]) * f
         if resid.l2_norm() > 1e-6 * f.l2_norm():
             raise EigsNotConverged(f"eigenpair {i} residual {resid.l2_norm():.2e}")
@@ -533,16 +494,15 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
     """
     prob = result.native_problem
     lin = LinearizedOperator(problem=prob, base_values=result.native.values)
-    op, sector = lin.sector_operator()
-    pre = _sector_precond(prob, sector)
-    rhs = sector.to_vec(result.native.coeffs.real)
-    x, info = minres(op, rhs, M=pre, rtol=rtol, maxiter=maxiter)
-    chi_c = sector.from_vec(x)
-    chi_native = Field(prob.grid, coeffs=chi_c.astype(complex), real=True, even_z=True)
+    g = prob.grid
+    rhs = g.reduce_even(result.native.coeffs).ravel()
+    x, info = minres(lin.sector_operator(), rhs, M=_sector_precond(prob),
+                     rtol=rtol, maxiter=maxiter)
+    chi_native = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
     resid = (lin.apply_field(chi_native) - result.native).l2_norm()
     if resid > 1e-8 * result.native.l2_norm():
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")
-    inner = float(np.sum(chi_c * result.native.coeffs.real))
+    inner = float(x @ rhs)
     p = result.params.p
     if result.picture == "v":
         s = -result.params.lam

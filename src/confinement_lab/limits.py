@@ -239,10 +239,6 @@ def _profile_from_amplitude(p: float, a_star: float, dimension: int, r_end: floa
     return prof
 
 
-# the 3D profile type under its role-specific name
-RadialProfile1D = ShotProfile
-
-
 @lru_cache(maxsize=32)
 def shoot_1d(p: float, r_end: float = 25.0, rtol: float = 1e-12) -> ShotProfile:
     """Independent oracle for the 1D soliton (no closed form assumed)."""

@@ -124,6 +124,27 @@ def test_find_mass_pair_preconditions():
         find_mass_pair(4.0, 0.0)
 
 
+def test_sweep_failures_are_typed(monkeypatch):
+    """Package errors inside a solve become failure rows; a programming
+    error (here a TypeError) propagates out of the sweep."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NotConverged
+
+    def not_converged(*args, **kwargs):
+        raise NotConverged(1, 1.0)
+
+    monkeypatch.setattr(branch, "solve_ground_state", not_converged)
+    curve = sweep(4.0, [0.5], resolution=Resolution(K=16, Mz=64))
+    assert not curve.samples and [lam for lam, _ in curve.failures] == [0.5]
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a solve")
+
+    monkeypatch.setattr(branch, "solve_ground_state", broken)
+    with pytest.raises(TypeError, match="bug in a solve"):
+        sweep(4.0, [0.5], resolution=Resolution(K=16, Mz=64))
+
+
 def test_sweep_parallel_jobs_match_serial():
     grid = [-8.0, 1.5]
     serial = sweep(4.0, grid, resolution=Resolution(K=24, Mz=128),

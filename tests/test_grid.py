@@ -166,6 +166,32 @@ def test_evaluate_matches_nodes(small_grid, rng):
     assert np.abs(direct.real - f.values).max() <= 1e-10 * np.abs(f.values).max()
 
 
+@pytest.mark.parametrize("Lz", [24.0, 24.0 / np.sqrt(0.05)])
+def test_even_pair_matches_full_pair(Lz):
+    """On real even fields the DCT-I pair over z >= 0 reproduces the full
+    complex pair, and its sqrt(w)-weighted coefficients and half-grid
+    quadrature carry the full-grid sums."""
+    g = build(Lz=Lz)
+    half = g.Mz // 2
+    f = random_band_limited(g, np.random.default_rng(7))
+    full_c = g.to_coeffs(f.values.astype(complex))
+    half_vals = np.concatenate([f.values[:, half:], f.values[:, :1]], axis=1)
+    c = g.to_even(half_vals)
+    ref = g.sqrt_wz * full_c[:, : half + 1].real
+    assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+    back = g.from_even(c)
+    assert np.abs(back - half_vals).max() <= 1e-13 * np.abs(half_vals).max()
+    expanded_c, expanded_vals = g.expand_even(c, back)
+    assert np.abs(expanded_c - full_c).max() <= 1e-13 * np.abs(full_c).max()
+    assert np.abs(expanded_vals - f.values).max() <= 1e-13 * np.abs(f.values).max()
+    norm2 = float(np.sum(np.abs(full_c) ** 2))
+    assert float(np.sum(c * c)) == pytest.approx(norm2, rel=1e-13)
+    assert g.quad_even(half_vals**2) == pytest.approx(g.quad(f.values**2), rel=1e-13)
+    # leading batch axes
+    batch = g.from_even(np.stack([c, 2.0 * c]))
+    assert np.abs(batch[1] - 2.0 * back).max() <= 1e-13 * np.abs(back).max()
+
+
 def test_shape_mismatch_raises(small_grid, medium_grid, rng):
     f = random_band_limited(small_grid, rng)
     with pytest.raises(ShapeMismatch):

@@ -5,10 +5,11 @@ from confinement_lab.core import LAMBDA0, Field, ModelParams
 from confinement_lab.errors import CollapsedToZero, NearSingular, ZeroField
 from confinement_lab.functionals import pohozaev_residual, report
 from confinement_lab.grid import build
+from confinement_lab import ground_state
 from confinement_lab.ground_state import (LinearizedOperator, Resolution,
                                           linearized_smallest_eigs, nehari_scale,
-                                          solve_chi, solve_ground_state,
-                                          symmetrize_coeffs)
+                                          problem_physical, problem_weak_trap,
+                                          solve_chi, solve_ground_state)
 from confinement_lab.limits import near_limit_field, free_soliton_field, soliton_1d
 from confinement_lab.scaling import branch_derivative_to_w, to_w
 from confinement_lab.functionals import h_distance, h1_distance
@@ -110,6 +111,28 @@ def test_profile_monotone_in_r_and_z(state_mid_p4):
     axial = vals[0, j0:]
     body_z = axial >= 1e-4 * vmax
     assert (np.diff(axial[body_z]) <= 1e-8 * vmax).all()
+
+
+def test_failed_minres_gives_no_newton_step(monkeypatch):
+    """A Newton-tail MINRES solve that reports info != 0 yields no step;
+    the iteration resumes descent and still converges."""
+    params, resolution = ModelParams(p=4.0, lam=1.5), Resolution(K=16, Mz=64)
+    healthy = solve_ground_state(params, init="near", resolution=resolution)
+    real_minres = ground_state.minres
+    calls = []
+
+    def failing_minres(*args, **kwargs):
+        x, _ = real_minres(*args, **kwargs)
+        calls.append(1)
+        return x, 1
+
+    monkeypatch.setattr(ground_state, "minres", failing_minres)
+    res = solve_ground_state(params, init="near", resolution=resolution)
+    assert calls
+    assert res.converged and res.gradient_norm <= 1e-9
+    # the returned (accurate) solution was not used: descent took longer
+    assert res.iterations > healthy.iterations
+    assert res.action == pytest.approx(healthy.action, rel=1e-9)
 
 
 def test_multi_start_returns_least_action():
@@ -220,10 +243,37 @@ def test_solve_chi_requires_invertibility(state_near_p4):
 # -- symmetrization of iterates ---------------------------------------------------
 
 def test_symmetrize_coeffs_idempotent(rng):
+    """Reducing full coefficients to the even sector and expanding back is
+    a projection onto real, axially even coefficients that kills odd ones."""
+    g = build(K=8, Mz=16, Lz=8.0)
     c = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-    s1 = symmetrize_coeffs(c)
-    s2 = symmetrize_coeffs(s1)
-    assert np.array_equal(s1, s2)
+    s1 = g.expand_even(g.reduce_even(c))
+    s2 = g.expand_even(g.reduce_even(s1))
+    assert np.isrealobj(s1) and np.array_equal(s1, s1[:, -np.arange(16)])
+    assert (np.abs(s2 - s1) <= 4e-16 * np.abs(s1)).all()
+    odd = c - c[:, -np.arange(16)]
+    assert np.abs(g.reduce_even(odd)).max() == 0.0
+
+
+@pytest.mark.parametrize("picture", ["u", "v"])
+def test_sector_hessian_block_product(picture, rng):
+    """The block product equals the column-by-column product, in the
+    diagonal (physical) and tridiagonal (weak-trap) pictures, and is
+    symmetric."""
+    g = build(K=12, Mz=32, Lz=8.0)
+    if picture == "u":
+        prob = problem_physical(ModelParams(p=4.0, lam=0.5), g)
+    else:
+        prob = problem_weak_trap(4.0, 0.3, g)
+    z = g.dz * np.arange(g.Mz // 2 + 1)
+    base = 2.0 * np.exp(-(g.r[:, None] ** 2 + z[None, :] ** 2) / 2.0)
+    hess = ground_state._sector_hessian(prob, base)
+    X = rng.standard_normal((hess.shape[0], 3))
+    block = hess.matmat(X)
+    columns = np.column_stack([hess.matvec(X[:, i]) for i in range(3)])
+    assert np.abs(block - columns).max() <= 1e-13 * np.abs(columns).max()
+    gram = X.T @ block
+    assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
 
 
 # -- level monotonicity across the rescaled problems --------------------------------
