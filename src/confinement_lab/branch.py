@@ -4,8 +4,10 @@ The branch lambda -> u_lambda is swept with warm starts, the mass curve
 M(lambda) = int u_lambda^2 recorded, and each sample classified by the
 slope criterion: dM/dlambda < 0 means the standing wave is orbitally
 stable, > 0 unstable.  The slope's primary estimator solves the
-linearized equation for the frequency derivative (one linear solve);
-centered finite differences are the cross-check.
+linearized equation for the frequency derivative chi = du/dlambda (one
+linear solve); centered finite differences are the cross-check.  The same
+chi is the branch tangent, so each solve along the sweep starts from the
+Euler predictor u + (lambda' - lambda) chi of the previous sample.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LAMBDA0, ModelParams
+from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
                      MassTooLarge, NearSingular, NotConverged)
 from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
@@ -36,6 +38,9 @@ class BranchSample:
     slope_fd: float          # nan when not computed
     stability: str           # "stable" | "unstable" | "undetermined"
     eig_min: float           # smallest symmetric-sector eigenvalue (nan if skipped)
+    # chi = du/dlambda, physical picture (None on the FD fallback); not in the CSV, and
+    # a sweep drops it once the next solve has its start
+    tangent: Field | None = field(default=None, repr=False, compare=False)
 
     def row(self) -> list:
         return [self.lam, self.mass, self.action, self.slope_chi,
@@ -103,10 +108,11 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
                    compute_eig: bool = True,
                    resolution: Resolution = Resolution(),
                    opts: SolverOptions = SolverOptions()) -> BranchSample:
-    """Slope, stability tag, and sector spectrum for one converged state."""
+    """Slope, stability tag, lowest sector eigenvalue and tangent of one state."""
     try:
-        _, slope = solve_chi(result)
+        tangent, slope = solve_chi(result)
     except NearSingular:
+        tangent = None
         slope = slope_finite_difference(result.params.p, result.params.lam,
                                         resolution=resolution, opts=opts, warm=result)
     slope_fd = float("nan")
@@ -116,13 +122,13 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
     eig_min = float("nan")
     if compute_eig:
         lin = LinearizedOperator.at(result)
-        eigs = linearized_smallest_eigs(lin, n=2)
-        eig_min = eigs[0][0]
+        eig_min = linearized_smallest_eigs(lin, n=1)[0][0]
         if result.picture == "v":
             eig_min *= -result.params.lam   # exact spectral rescaling to physical units
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
-                        stability=classify_slope(slope), eig_min=eig_min)
+                        stability=classify_slope(slope), eig_min=eig_min,
+                        tangent=tangent)
 
 
 def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05,
@@ -143,9 +149,10 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     """Solve along a frequency grid with warm starts, tails inward.
 
     The far tail is climbed from the most negative frequency and the near
-    tail descended from the frequency closest to LAMBDA0, each chain warm
-    starting from its previous sample; with jobs >= 2 the two chains run
-    in separate processes.
+    tail descended from the frequency closest to LAMBDA0.  Each chain
+    starts a solve from the Euler predictor u + dlambda * chi of its
+    previous sample (from u alone where the slope fell back to finite
+    differences); with jobs >= 2 the two chains run in separate processes.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -177,12 +184,15 @@ REFINE_ITERS = 500      # warm solves above this trigger step halving
 REFINE_MIN_STEP = 1e-4  # stop refining the continuation step here
 
 
-def _continued_solve(p, lam, warm, resolution, opts, depth=0):
-    """Warm solve with continuation step control: when the warm-started solve
-    struggles (fails or exceeds the iteration budget), halve the frequency
-    step by inserting a midpoint solve first, down to |dlambda| = 1e-4."""
+def _continued_solve(p, lam, warm, tangent, resolution, opts, depth=0):
+    """Solve from the Euler predictor warm.u + (lam - warm.lam) * tangent (warm.u
+    without a tangent); when that struggles (fails or exceeds the iteration
+    budget), halve the frequency step by inserting a midpoint solve from the
+    same tangent first, down to |dlambda| = 1e-4."""
     params = ModelParams(p=p, lam=lam)
     init = warm.u if warm is not None else None
+    if tangent is not None:
+        init = init + (lam - warm.params.lam) * tangent
     try:
         result = solve_ground_state(params, init=init, resolution=resolution, opts=opts)
         if result.iterations <= REFINE_ITERS or warm is None:
@@ -194,25 +204,25 @@ def _continued_solve(p, lam, warm, resolution, opts, depth=0):
             return result
         return solve_ground_state(params, resolution=resolution, opts=opts)
     mid = 0.5 * (lam + warm.params.lam)
-    bridge = _continued_solve(p, mid, warm, resolution, opts, depth + 1)
-    return _continued_solve(p, lam, bridge, resolution, opts, depth + 1)
+    bridge = _continued_solve(p, mid, warm, tangent, resolution, opts, depth + 1)
+    return _continued_solve(p, lam, bridge, tangent, resolution, opts, depth + 1)
 
 
 def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
     p, chain, resolution, opts, compute_fd, compute_eig = packed
     samples: list[BranchSample] = []
     failures: list[tuple[float, str]] = []
-    warm: GroundStateResult | None = None
+    warm = tangent = None
     for lam in chain:
         try:
-            result = _continued_solve(p, lam, warm, resolution, opts)
+            result = _continued_solve(p, lam, warm, tangent, resolution, opts)
         except ConfinementLabError as exc:
             failures.append((lam, repr(exc)))
             continue
-        warm = result
-        samples.append(analyze_sample(result, compute_fd=compute_fd,
-                                      compute_eig=compute_eig,
-                                      resolution=resolution, opts=opts))
+        sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
+                                resolution=resolution, opts=opts)
+        warm, tangent, sample.tangent = result, sample.tangent, None
+        samples.append(sample)
     return samples, failures
 
 

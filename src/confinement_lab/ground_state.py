@@ -331,7 +331,9 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
 
     With init=None a small multi-start sweep runs (asymptotic references
     plus an isotropic Gaussian) and the least-action converged candidate
-    wins; pass a Field or one of "near"/"far"/"gaussian" to pin the start.
+    wins, actions within 1e-12 relative counting as tied and going to the
+    start with fewer iterations; pass a Field or one of
+    "near"/"far"/"gaussian" to pin the start.
     """
     if grid is not None:
         picture = "u"
@@ -368,7 +370,9 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
             res = iterate_ground_state(prob, c0, native_opts)
         except (CollapsedToZero, ZeroField):
             continue
-        if res.converged and (best is None or res.action < best.action):
+        tie = 1e-12 * abs(res.action)
+        if res.converged and (best is None or res.action < best.action - tie or (
+                res.action <= best.action + tie and res.iterations < best.iterations)):
             best = res
     if best is None:
         raise NotConverged(opts.max_iter, np.nan, what="ground state")

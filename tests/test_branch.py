@@ -6,9 +6,9 @@ from confinement_lab.branch import (BranchCurve, BranchSample,
                                     default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_prefactor_far,
                                     slope_prefactor_near, sweep)
-from confinement_lab.core import LAMBDA0
+from confinement_lab.core import LAMBDA0, ModelParams
 from confinement_lab.errors import InsufficientTail
-from confinement_lab.ground_state import Resolution
+from confinement_lab.ground_state import Resolution, SolverOptions, solve_ground_state
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +155,79 @@ def test_sweep_parallel_jobs_match_serial():
     for a, b in zip(serial.samples, parallel.samples):
         assert a.mass == pytest.approx(b.mass, rel=1e-12)
         assert a.slope_chi == pytest.approx(b.slope_chi, rel=1e-9)
+
+
+def _recorded_starts(monkeypatch):
+    """Wrap branch.solve_ground_state to record each solve's (lambda, init)."""
+    from confinement_lab import branch
+    real, starts = branch.solve_ground_state, []
+
+    def recording(params, init=None, **kwargs):
+        starts.append((params.lam, init))
+        return real(params, init=init, **kwargs)
+
+    monkeypatch.setattr(branch, "solve_ground_state", recording)
+    return starts
+
+
+def test_chain_starts_from_euler_predictor(monkeypatch):
+    from confinement_lab.branch import _solve_chain
+    from confinement_lab.ground_state import solve_chi
+    resolution = Resolution(K=16, Mz=64)
+    starts = _recorded_starts(monkeypatch)
+    _solve_chain((4.0, [0.5, 0.6], resolution, SolverOptions(), False, False))
+    assert [lam for lam, _ in starts] == [0.5, 0.6] and starts[0][1] is None
+    warm = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=resolution)
+    chi, _ = solve_chi(warm)
+    predictor = warm.u + (0.6 - 0.5) * chi
+    assert starts[1][1].grid is warm.u.grid
+    assert np.abs(starts[1][1].coeffs - predictor.coeffs).max() <= 1e-12 * np.abs(predictor.coeffs).max()
+    assert np.abs(starts[1][1].coeffs - warm.u.coeffs).max() > 1e-3 * np.abs(warm.u.coeffs).max()
+
+
+def test_chain_falls_back_to_warm_state_without_tangent(monkeypatch):
+    """When solve_chi is near singular the slope comes from finite
+    differences and the next solve starts from the previous state itself."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NearSingular
+
+    def near_singular(result):
+        raise NearSingular("forced")
+
+    monkeypatch.setattr(branch, "solve_chi", near_singular)
+    monkeypatch.setattr(branch, "slope_finite_difference", lambda *a, **k: -1.0)
+    resolution = Resolution(K=16, Mz=64)
+    starts = _recorded_starts(monkeypatch)
+    samples, _ = branch._solve_chain((4.0, [0.5, 0.6], resolution, SolverOptions(), False, False))
+    warm = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=resolution)
+    assert [s.stability for s in samples] == ["stable", "stable"]
+    assert np.array_equal(starts[1][1].coeffs, warm.u.coeffs)
+
+
+def test_predicted_chain_matches_cold_solves():
+    """Euler-predicted starts across the picture switch at FAR_SWITCH and
+    along the near tail reach the same states as independent cold solves."""
+    from confinement_lab.ground_state import FAR_SWITCH, solve_chi
+    resolution = Resolution(K=24, Mz=128)
+    grid = [-10.0, -7.0, -5.0, -3.0, 1.6, 1.8]
+    assert min(grid) < -7.0 < FAR_SWITCH < -5.0
+    curve = sweep(4.0, grid, resolution=resolution, compute_eig=False)
+    assert not curve.failures and list(curve.lambdas()) == grid
+    for s in curve.samples:
+        cold = solve_ground_state(ModelParams(p=4.0, lam=s.lam), resolution=resolution)
+        assert s.mass == pytest.approx(cold.mass, rel=1e-8)
+        assert s.stability == classify_slope(solve_chi(cold)[1])
+
+
+@pytest.mark.parametrize("state", ["state_near_p4", "state_far_p4"])
+def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
+    """The one-column eigensolve of the sweep finds the same smallest
+    sector eigenvalue as a three-column one, in both solve pictures."""
+    from confinement_lab.branch import analyze_sample
+    from confinement_lab.ground_state import LinearizedOperator, linearized_smallest_eigs
+    res = request.getfixturevalue(state)
+    assert res.picture == ("u" if state == "state_near_p4" else "v")
+    ref = linearized_smallest_eigs(LinearizedOperator.at(res), n=3)[0][0]
+    if res.picture == "v":
+        ref *= -res.params.lam
+    assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)

@@ -143,6 +143,30 @@ def test_multi_start_returns_least_action():
     assert res_auto.action == pytest.approx(res_named.action, rel=1e-7)
 
 
+@pytest.mark.parametrize("second, kept", [
+    ((1.0 + 1e-13, 10), 10),    # tied action: fewer iterations wins
+    ((1.0 - 1e-13, 90), 50),    # tied action, more iterations: first is kept
+    ((1.0 - 1e-9, 90), 90),     # decisively lower action wins regardless
+])
+def test_multi_start_tie_goes_to_fewer_iterations(monkeypatch, second, kept):
+    """Candidates whose actions agree to 1e-12 relative are tied; the one
+    with fewer iterations is kept, so the reported count does not hinge on
+    roundoff in the last digits of the action."""
+    from dataclasses import replace
+    params, resolution = ModelParams(p=4.0, lam=0.5), Resolution(K=16, Mz=64)
+    _, grid = ground_state.grid_for(params, resolution)
+    real = ground_state.iterate_ground_state(ground_state.problem_physical(params, grid),
+                                             ground_state._starts("u", params, grid)["gaussian"])
+    factor, iterations = second
+    candidates = iter([replace(real, iterations=50),
+                       replace(real, iterations=iterations, action=factor * real.action)])
+    monkeypatch.setattr(ground_state, "iterate_ground_state",
+                        lambda *args, **kwargs: next(candidates))
+    res = solve_ground_state(params, resolution=resolution)
+    assert next(candidates, None) is None    # both starts ran
+    assert res.iterations == kept
+
+
 # -- linearized operator -----------------------------------------------------------
 
 def test_free_oscillator_smallest_eig(small_grid):
