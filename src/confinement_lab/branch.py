@@ -187,8 +187,8 @@ REFINE_MIN_STEP = 1e-4  # stop refining the continuation step here
 def _continued_solve(p, lam, warm, tangent, resolution, opts, depth=0):
     """Solve from the Euler predictor warm.u + (lam - warm.lam) * tangent (warm.u
     without a tangent); when that struggles (fails or exceeds the iteration
-    budget), halve the frequency step by inserting a midpoint solve from the
-    same tangent first, down to |dlambda| = 1e-4."""
+    budget), first solve at the midpoint from that predictor, then from the
+    bridge state alone (its grid need not match the tangent's), to |dlambda| = 1e-4."""
     params = ModelParams(p=p, lam=lam)
     init = warm.u if warm is not None else None
     if tangent is not None:
@@ -205,7 +205,7 @@ def _continued_solve(p, lam, warm, tangent, resolution, opts, depth=0):
         return solve_ground_state(params, resolution=resolution, opts=opts)
     mid = 0.5 * (lam + warm.params.lam)
     bridge = _continued_solve(p, mid, warm, tangent, resolution, opts, depth + 1)
-    return _continued_solve(p, lam, bridge, tangent, resolution, opts, depth + 1)
+    return _continued_solve(p, lam, bridge, None, resolution, opts, depth + 1)
 
 
 def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:

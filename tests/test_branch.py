@@ -231,3 +231,30 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     if res.picture == "v":
         ref *= -res.params.lam
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("chain", [[-10.0, -8.0], [1.9, 1.8]])
+def test_halving_on_lambda_dependent_grid_solves_the_sample(monkeypatch, chain):
+    """A failed predicted solve is recovered by a midpoint bridge.  In the
+    weak-trap picture (lambda <= FAR_SWITCH) and in the stretched near-tail
+    box the bridge's grid differs from the previous sample's, so the second
+    leg must start from the bridge state alone."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NotConverged
+    resolution = Resolution(K=24, Mz=128)
+    real, calls = branch.solve_ground_state, []
+    first, second = chain
+
+    def fail_first_predicted(params, init=None, **kwargs):
+        calls.append(params.lam)
+        if params.lam == second and calls.count(second) == 1:
+            raise NotConverged(0, 1.0)
+        return real(params, init=init, **kwargs)
+
+    monkeypatch.setattr(branch, "solve_ground_state", fail_first_predicted)
+    samples, failures = branch._solve_chain(
+        (4.0, chain, resolution, SolverOptions(), False, False))
+    assert not failures and [s.lam for s in samples] == chain
+    assert calls == [first, second, 0.5 * (first + second), second]   # one bridge
+    cold = real(ModelParams(p=4.0, lam=second), resolution=resolution)
+    assert samples[1].mass == pytest.approx(cold.mass, rel=1e-8)
