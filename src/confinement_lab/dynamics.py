@@ -7,7 +7,13 @@ The Cauchy problem
 is integrated by Strang splitting: a half-step of the nonlinear phase
 rotation exp(+i dt/2 |psi|^{p-2}) (exact, since |psi| is pointwise
 invariant), a full linear step (exact in the spectral basis, multiplier
-exp(-i dt (osc_k + xi_m^2))), and another nonlinear half-step.  Both
+exp(-i dt (osc_k + xi_m^2))), and another nonlinear half-step.  Since
+|psi| is invariant under the rotation, a step's trailing half-step and
+the next step's leading one compose exactly to one full rotation
+exp(+i dt |psi|^{p-2}); :func:`evolve` applies them as one and splits
+the rotation into two half-steps only where the state is observed (the
+record points, the early energy check and the last step), so the run
+is still exact Strang splitting at half the pointwise work.  Both
 sub-steps are L^2 isometries, so the mass drift is pure roundoff,
 provided the discrete transform pair is orthonormal to roundoff.  It is:
 :func:`grid.build` polishes the radial pair in sqrt(w) form, giving
@@ -18,7 +24,7 @@ a steady bias of about -1e-15 in relative mass per step.
 
 Orbital distance to a standing-wave orbit quotients out the global phase
 (closed form) and axial translations (trig-polynomial scan over the box
-followed by local refinement), in the trap-weighted H metric, reported
+followed by a Newton polish), in the trap-weighted H metric, reported
 relative to the H norm of the reference state.  The distance at the
 optimal phase and shift is evaluated directly in coefficient space, so
 a state on the orbit measures 0 to roundoff.
@@ -37,6 +43,7 @@ from .errors import ShapeMismatch, StepTooLarge
 from .functionals import quadratic_parts, lp_integral
 
 PERTURBATION_SHAPES = ("even_random", "ground_mode", "z_dilation")
+NEWTON_STEPS = 8    # orbital distance: Newton steps on the best shift
 
 
 @dataclass(frozen=True)
@@ -177,13 +184,33 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
             save_field(fld, Path(snapshot_dir) / f"psi_{step:08d}",
                        p=p, lam=params.lam, extra={"t": step * dt})
 
+    def rotate(vals, h):
+        # vals *= exp(i h |vals|^{p-2}) in place; cos and sin fill the factor
+        # directly, which costs less than a complex exp
+        mod = vals.real ** 2
+        mod += vals.imag ** 2
+        if p != 4.0:
+            mod **= 0.5 * (p - 2.0)
+        mod *= h
+        rot = np.empty_like(vals)
+        np.cos(mod, out=rot.real)
+        np.sin(mod, out=rot.imag)
+        vals *= rot
+
     record(0, vals)
+    # a full rotation is one step's trailing half-step and the next step's
+    # leading one; it is split in two only where the state is observed
+    rotate(vals, 0.5 * dt)
     for step in range(1, n_steps + 1):
-        vals = vals * np.exp(1j * (0.5 * dt) * np.abs(vals) ** (p - 2.0))
-        coeffs = g.to_coeffs(vals) * lin_phase
+        coeffs = g.to_coeffs(vals)
+        coeffs *= lin_phase
         vals = g.from_coeffs(coeffs)
-        vals = vals * np.exp(1j * (0.5 * dt) * np.abs(vals) ** (p - 2.0))
-        if step % cfg.record_every == 0 or step == n_steps:
+        recorded = step % cfg.record_every == 0 or step == n_steps
+        if not recorded and step != cfg.check_first_steps:
+            rotate(vals, dt)
+            continue
+        rotate(vals, 0.5 * dt)
+        if recorded:
             record(step, vals)
             if cfg.stop_when_distance is not None and ref_data and \
                     dists[-1] > cfg.stop_when_distance:
@@ -192,6 +219,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
             drift = abs(energy_value(Field(g, values=vals, real=False), p) - e0) / scale
             if drift > 1e-3:
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")
+        rotate(vals, 0.5 * dt)     # the next step's leading half-step
     return EvolutionTrace(t=np.array(times), mass=np.array(masses),
                           energy=np.array(energies), orbital_distance=np.array(dists),
                           seed=cfg.seed, sector=cfg.sector, dt=dt)
@@ -214,8 +242,8 @@ def orbital_distance_data(psi: Field, ref: dict) -> float:
     The best shift maximizes |B(z0)|, where B(z0) = sum_m b_m e^{i xi_m z0}
     is a trigonometric polynomial with b_m = sum_k hw_km psi_km conj(u_km);
     the best phase is then theta = arg B(z0).  B is evaluated at every grid
-    shift at once through one FFT, and the best node is refined by
-    parabolic interpolation in z0.  The distance itself is evaluated
+    shift at once through one FFT, and the best node is refined by Newton's
+    method on d|B|^2/dz0 = 0.  The distance itself is evaluated
     directly in coefficient space,
         d^2 = sum_km hw_km |psi_km - e^{i theta} u_km e^{-i xi_m z0}|^2,
     not as ||psi||_H^2 + ||u||_H^2 - 2|B(z0)|, whose cancellation would put
@@ -229,47 +257,27 @@ def orbital_distance_data(psi: Field, ref: dict) -> float:
     big = ifft(g.phase * b) * g.Mz
     j0 = int(np.argmax(np.abs(big)))
 
-    def bval(z0):
-        return np.sum(b * np.exp(1j * g.xi * z0))
-
-    # parabolic refinement around the best node
-    z0, _ = _refine_max(lambda z: np.abs(bval(z)), g.z[j0], g.dz)
-    # |B| is flat to O(dz^2) at its peak, so comparing values leaves z0
-    # off by up to ~sqrt(eps); Newton on the root of d|B|^2/dz fixes it
-    for _ in range(3):
+    # |B| is flat to O(dz^2) at its peak, so comparing values would leave z0
+    # off by up to ~sqrt(eps); Newton on the root of d|B|^2/dz, started from
+    # the best node, fixes it to roundoff.  A step is taken only where |B|^2
+    # is concave and the step stays within one grid spacing; if the first
+    # step is refused, the node itself is kept.
+    z0 = g.z[j0]
+    for _ in range(NEWTON_STEPS):
         bm = b * np.exp(1j * g.xi * z0)
         bz, b1, b2 = bm.sum(), (1j * g.xi * bm).sum(), (-g.xi**2 * bm).sum()
         slope = np.real(np.conj(bz) * b1)
         curv = abs(b1) ** 2 + np.real(np.conj(bz) * b2)
         if curv >= 0.0 or abs(slope) >= -curv * g.dz:
             break
-        z0 -= slope / curv
-    theta = np.angle(bval(z0))
+        step = slope / curv
+        z0 -= step
+        if abs(step) <= 1e-12 * g.dz:
+            break
+    theta = np.angle(np.sum(b * np.exp(1j * g.xi * z0)))
     resid = pc - np.exp(1j * theta) * uc * np.exp(-1j * g.xi * z0)[None, :]
     d2 = float(np.sum(hw * np.abs(resid) ** 2))
     return float(np.sqrt(d2 / ref["h_norm_sq"]))
-
-
-def _refine_max(f, x0, h):
-    """Maximize a smooth periodic function near x0 by shrinking triples."""
-    a, b, c = x0 - h, x0, x0 + h
-    fa, fb, fc = f(a), f(b), f(c)
-    best_x, best_f = b, fb
-    for _ in range(60):
-        denom = (fa - 2.0 * fb + fc)
-        if denom == 0.0:
-            break
-        shift = 0.5 * (fa - fc) / denom * h
-        shift = float(np.clip(shift, -h, h))
-        x0 = b + shift
-        h *= 0.5
-        a, b, c = x0 - h, x0, x0 + h
-        fa, fb, fc = f(a), f(b), f(c)
-        if fb > best_f:
-            best_x, best_f = b, fb
-        if h < 1e-13:
-            break
-    return best_x, best_f
 
 
 def orbital_distance(psi: Field, u: Field, params: ModelParams | None = None) -> float:

@@ -18,15 +18,6 @@ class ShapeMismatch(ConfinementLabError):
     """Field data does not match the discretization it claims to live on."""
 
 
-class SingularMode(ConfinementLabError):
-    """A diagonal linear solve hit a vanishing divisor on a populated mode."""
-
-    def __init__(self, k, m):
-        self.k = k
-        self.m = m
-        super().__init__(f"singular multiplier on mode (k={k}, m={m})")
-
-
 class ZeroField(ConfinementLabError):
     """An operation that needs a nonzero field received (numerically) zero."""
 

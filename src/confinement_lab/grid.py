@@ -26,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct, fft, ifft
-from scipy.linalg import cholesky, eigh_tridiagonal, solve_banded, solve_triangular
+from scipy.linalg import cholesky, eigh_tridiagonal, solve_triangular
 
-from .errors import GramCheckFailed, ShapeMismatch, SingularMode
+from .errors import GramCheckFailed, ShapeMismatch
 
 GRAM_TOL = 1e-10
 
@@ -69,6 +69,17 @@ def scaled_laguerre(t: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _real_matmul(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """m @ a for a real matrix m.  A complex a is multiplied as its float
+    view, real and imaginary parts interleaved along the last axis, in one
+    real GEMM; numpy would upcast m to complex instead and run a complex
+    GEMM with 4x the flops."""
+    if not np.iscomplexobj(a):
+        return m @ a
+    a = np.ascontiguousarray(a, dtype=complex)
+    return (m @ a.view(float)).view(complex)
+
+
 @dataclass
 class Discretization:
     """Immutable spectral grid; build through :func:`build`."""
@@ -99,15 +110,17 @@ class Discretization:
         """Nodal samples (nr, Mz) -> spectral coefficients (K, Mz)."""
         if values.shape != (self.nr, self.Mz):
             raise ShapeMismatch(f"values shape {values.shape} != {(self.nr, self.Mz)}")
-        radial = self.proj @ values
-        return (np.sqrt(2.0 * self.Lz) / self.Mz) * self.phase * fft(radial, axis=1)
+        out = fft(_real_matmul(self.proj, values), axis=1, overwrite_x=True)
+        out *= (np.sqrt(2.0 * self.Lz) / self.Mz) * self.phase
+        return out
 
     def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Spectral coefficients (K, Mz) -> nodal samples (nr, Mz), complex."""
         if coeffs.shape != (self.K, self.Mz):
             raise ShapeMismatch(f"coeffs shape {coeffs.shape} != {(self.K, self.Mz)}")
-        axial = ifft(self.phase * coeffs, axis=1) * (self.Mz / np.sqrt(2.0 * self.Lz))
-        return self.phi @ axial
+        axial = ifft(self.phase * coeffs, axis=1, overwrite_x=True)
+        axial *= self.Mz / np.sqrt(2.0 * self.Lz)
+        return _real_matmul(self.phi, axial)
 
     def quad(self, values: np.ndarray) -> float | complex:
         """Integral over R^3 of a nodally sampled function."""
@@ -193,34 +206,6 @@ class Discretization:
         """<u, A u> for the same operator family (real part)."""
         au = self.apply_operator(coeffs, kin_y, trap, kin_z, const)
         return float(np.real(np.sum(np.conj(coeffs) * au)))
-
-    def solve_operator(self, coeffs: np.ndarray, kin_y: float, trap: float,
-                       kin_z: float, const: float) -> np.ndarray:
-        """Invert the same operator family on the retained modes."""
-        diag = self.diagonal(self.Mz, kin_y, kin_z, const)
-        gamma = self.tridiag_coef(kin_y, trap)
-        if gamma == 0.0:
-            scale = np.abs(diag).max()
-            bad = np.abs(diag) <= 1e-12 * scale
-            if bad.any():
-                content = np.abs(coeffs) > 1e-13 * max(np.abs(coeffs).max(), 1e-300)
-                hit = bad & content
-                if hit.any():
-                    k, m = np.argwhere(hit)[0]
-                    raise SingularMode(int(k), int(m))
-                out = np.zeros_like(coeffs)
-                ok = ~bad
-                out[ok] = coeffs[ok] / diag[ok]
-                return out
-            return coeffs / diag
-        out = np.empty_like(coeffs, dtype=complex)
-        band = np.zeros((3, self.K))
-        band[0, 1:] = gamma * self._x1_off
-        band[2, :-1] = gamma * self._x1_off
-        for m in range(self.Mz):
-            band[1, :] = diag[:, m] + gamma * self._x1_diag
-            out[:, m] = solve_banded((1, 1), band, coeffs[:, m])
-        return out
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from confinement_lab.core import Field, ModelParams
+from confinement_lab import dynamics
+from confinement_lab.core import Field, ModelParams, load_field
 from confinement_lab.dynamics import (EvolutionConfig, energy_value, evolve,
                                       make_perturbation, orbital_distance,
                                       perturbed_state)
@@ -71,6 +72,50 @@ def test_time_reversal(stable_state):
     assert err <= 1e-8
 
 
+@pytest.mark.parametrize("p", [4.0, 3.0])
+def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatch, p):
+    # evolve fuses the nonlinear half-steps of consecutive steps; every state
+    # it observes (records, the early energy check, the last step) must be
+    # the state of the plain two-half-step Strang loop (p = 3 takes the
+    # power in the rotation; the initial state need not be stationary)
+    params = ModelParams(p=p, lam=stable_state.params.lam)
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=7,
+                          check_first_steps=10)
+    psi0 = perturbed_state(stable_state.u, cfg)
+    g = psi0.grid
+    observed = []
+
+    def spy(psi, power):
+        observed.append(psi.values)
+        return energy_value(psi, power)
+
+    monkeypatch.setattr(dynamics, "energy_value", spy)
+    tr = evolve(psi0, params, cfg, snapshot_dir=tmp_path)
+
+    dt = cfg.dt
+    lin = np.exp(-1j * dt * (g.osc_eigs[:, None] + g.xi[None, :] ** 2))
+    vals = psi0.values.astype(complex)
+    states = [vals]
+    for _ in range(50):
+        vals = vals * np.exp(1j * (0.5 * dt) * np.abs(vals) ** (p - 2.0))
+        vals = g.from_coeffs(g.to_coeffs(vals) * lin)
+        vals = vals * np.exp(1j * (0.5 * dt) * np.abs(vals) ** (p - 2.0))
+        states.append(vals)
+
+    # energy_value sees psi0, then record 0, 7, the check at 10, 14, ..., 49, 50
+    steps = [0, 0, 7, 10, 14, 21, 28, 35, 42, 49, 50]
+    assert len(observed) == len(steps)
+    scale = np.abs(psi0.values).max()
+    for step, seen in zip(steps, observed):
+        assert np.abs(seen - states[step]).max() <= 1e-12 * scale
+    recorded = [0, 7, 14, 21, 28, 35, 42, 49, 50]
+    assert np.allclose(tr.t, np.array(recorded) * dt, rtol=0, atol=1e-15)
+    mass = np.array([float(g.quad(np.abs(states[s]) ** 2)) for s in recorded])
+    assert np.abs(tr.mass - mass).max() <= 1e-12 * mass[0]
+    final, _ = load_field(tmp_path / "psi_00000050")
+    assert np.abs(final.values - states[50]).max() <= 1e-12 * scale
+
+
 def test_orbital_distance_quotients(stable_state, rng):
     u = stable_state.u
     g = u.grid
@@ -96,7 +141,10 @@ def test_orbital_distance_on_orbit_is_roundoff(stable_state):
     u = stable_state.u
     g = u.grid
     assert orbital_distance(u, u) <= 1e-12
-    for theta, z0 in ((0.83, 0.0), (0.0, 1.3), (-2.1, -4.7)):
+    # the last shift lies halfway between two nodes, the farthest the
+    # Newton polish ever starts from its optimum
+    mid = g.z[g.Mz // 2 + 5] + 0.5 * g.dz
+    for theta, z0 in ((0.83, 0.0), (0.0, 1.3), (-2.1, -4.7), (1.1, mid)):
         c = np.exp(1j * theta) * u.coeffs * np.exp(-1j * g.xi[None, :] * z0)
         assert orbital_distance(Field(g, coeffs=c, real=False), u) <= 1e-12
 
