@@ -12,7 +12,7 @@ independently solved limit problems.
 
 __version__ = "0.1.0"
 
-from .core import LAMBDA0, Field, ModelParams, PhysicalConstants, reparametrize
+from .core import LAMBDA0, Field, ModelParams
 from .grid import Discretization, build
 from .functionals import FunctionalReport, gradient, pohozaev_residual, report, scaled_actions
 from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
@@ -26,7 +26,7 @@ from .branch import (BranchCurve, MassPair, asymptotic_constants, find_mass_pair
 from .dynamics import EvolutionConfig, EvolutionTrace, evolve, orbital_distance
 
 __all__ = [
-    "LAMBDA0", "Field", "ModelParams", "PhysicalConstants", "reparametrize",
+    "LAMBDA0", "Field", "ModelParams",
     "Discretization", "build",
     "FunctionalReport", "gradient", "pohozaev_residual", "report", "scaled_actions",
     "GroundStateResult", "LinearizedOperator", "Resolution", "SolverOptions",

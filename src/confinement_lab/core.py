@@ -30,11 +30,6 @@ LAMBDA0 = 2.0
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    Lambda0: float = LAMBDA0
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Nonlinearity exponent p in (2, 6) and frequency lambda < LAMBDA0."""
 
@@ -56,11 +51,6 @@ class ModelParams:
         if self.lam >= 0.0:
             return None
         return 1.0 / self.lam**2
-
-
-def reparametrize(params: ModelParams) -> tuple[float | None, float]:
-    """Return (mu, tau); mu is None when lambda >= 0."""
-    return params.mu, params.tau
 
 
 class Field:

@@ -48,7 +48,7 @@ class NearSingular(ConfinementLabError):
 
 
 class BisectionStalled(ConfinementLabError):
-    """Shooting bisection could not establish or shrink its bracket."""
+    """Shooting root find could not establish its bracket or converge."""
 
 
 class RegimeMismatch(ConfinementLabError):

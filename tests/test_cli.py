@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from confinement_lab.cli import main
 from confinement_lab.core import load_field
@@ -29,7 +30,7 @@ def test_solve_rejects_bad_frequency(tmp_path):
 
 def test_limits_subcommand(tmp_path):
     out = tmp_path / "lims"
-    rc = main(["limits", "--p", "4", "--which", "1d", "--outdir", str(out)])
+    rc = main(["limits", "--p", "4", "--which", "both", "--outdir", str(out)])
     assert rc == 0
     lines = (out / "soliton_1d_closed_form.csv").read_text().splitlines()
     assert lines[0] == "coordinate,value"
@@ -37,6 +38,11 @@ def test_limits_subcommand(tmp_path):
     shot = np.loadtxt((out / "soliton_1d_shot.csv").read_text().splitlines()[1:],
                       delimiter=",")
     assert np.abs(closed[:, 1] - shot[:, 1]).max() <= 1e-8
+    lines3 = (out / "soliton_3d_shot.csv").read_text().splitlines()
+    assert lines3[0] == "coordinate,value"
+    shot3 = np.loadtxt(lines3[1:], delimiter=",")
+    assert shot3[0, 1] == pytest.approx(4.337387679981889, rel=1e-9)
+    assert (shot3[:, 1] > 0).all()
 
 
 def test_sweep_subcommand(tmp_path):

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from confinement_lab.core import (LAMBDA0, Field, ModelParams, PhysicalConstants,
-                                  load_field, reparametrize, save_field)
+from confinement_lab.core import LAMBDA0, Field, ModelParams, load_field, save_field
 from confinement_lab.errors import ShapeMismatch
 
 
 def test_lambda0_exact():
-    assert PhysicalConstants().Lambda0 == 2.0
     assert LAMBDA0 == 2.0
+    assert ModelParams(p=4.0, lam=0.0).tau == 2.0
 
 
 @pytest.mark.parametrize("p,lam", [(1.9, 0.0), (6.0, 0.0), (4.0, 2.0), (4.0, 2.5)])
@@ -20,19 +19,19 @@ def test_params_rejects_out_of_range(p, lam):
 
 
 def test_reparametrize_examples():
-    mu, tau = reparametrize(ModelParams(p=4.0, lam=-2.0))
-    assert mu == 0.25 and tau == 4.0
-    mu, tau = reparametrize(ModelParams(p=4.0, lam=1.9))
-    assert mu is None
-    assert tau == pytest.approx(0.1, abs=1e-15)
-    mu, tau = reparametrize(ModelParams(p=10.0 / 3.0, lam=-10.0))
-    assert mu == 0.01 and tau == 12.0
+    params = ModelParams(p=4.0, lam=-2.0)
+    assert params.mu == 0.25 and params.tau == 4.0
+    params = ModelParams(p=4.0, lam=1.9)
+    assert params.mu is None
+    assert params.tau == pytest.approx(0.1, abs=1e-15)
+    params = ModelParams(p=10.0 / 3.0, lam=-10.0)
+    assert params.mu == 0.01 and params.tau == 12.0
 
 
 @pytest.mark.parametrize("lam", [-40.0, -10.0, -2.0, -0.5, 0.0, 0.5, 1.9, 1.9375])
 def test_reparametrize_roundtrips(lam):
     params = ModelParams(p=4.0, lam=lam)
-    mu, tau = reparametrize(params)
+    mu, tau = params.mu, params.tau
     # tau roundtrip: exact for representable arithmetic, 1 ulp in general
     assert LAMBDA0 - tau == pytest.approx(lam, abs=4 * np.spacing(max(abs(lam), tau)))
     if lam in (-40.0, -10.0, -2.0, -0.5, 0.0, 0.5):

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from confinement_lab import limits
 from confinement_lab.core import ModelParams
-from confinement_lab.errors import RegimeMismatch
+from confinement_lab.errors import BisectionStalled, RegimeMismatch
 from confinement_lab.grid import build
 from confinement_lab.limits import (planar_ground_mode, reference_profile,
                                     shoot_1d, shoot_3d, soliton_1d)
@@ -108,11 +111,69 @@ def test_reference_profiles(shot3d_p4):
         reference_profile(ModelParams(p=4.0, lam=0.5), "far", g)
 
 
-@pytest.mark.parametrize("p", [2.5, 4.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 6.0, 7.0])
 def test_shoot_rejects_bad_exponent(p):
-    if not 2.0 < p < 6.0:
+    for solver in (shoot_1d, shoot_3d, soliton_1d):
         with pytest.raises(ValueError):
-            shoot_1d(p)
+            solver(p)
+
+
+def _count_integrations(monkeypatch):
+    calls = []
+    real = limits._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_integrate", counted)
+    shoot_1d.cache_clear()
+    shoot_3d.cache_clear()
+    return calls
+
+
+def test_shoot_3d_cost_and_threshold(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    prof = shoot_3d(4.0, rtol=1e-10)
+    # bracket [4, 8] (4 shots), Brent on the growing-mode coefficient,
+    # one dense shot for the profile; bisection to the last bit took 57
+    assert len(calls) <= 16
+    assert prof.v0 == pytest.approx(4.337387679981889, rel=1e-11)
+
+
+@pytest.mark.parametrize("p", [3.0, 10.0 / 3.0, 4.0, 5.0])
+def test_shoot_1d_cost(monkeypatch, p):
+    calls = _count_integrations(monkeypatch)
+    shoot_1d(p)
+    assert len(calls) <= 16
+
+
+def test_shoot_without_bracket_raises(monkeypatch):
+    # every shot turns around with v > 0: the amplitude is never too large
+    def undershoot(p, a, dimension, r_end, rtol, dense=False):
+        return SimpleNamespace(t=np.array([1.0]), y=np.array([[a], [0.0]]),
+                               t_events=[np.empty(0), np.array([1.0])])
+
+    monkeypatch.setattr(limits, "_integrate", undershoot)
+    shoot_3d.cache_clear()
+    with pytest.raises(BisectionStalled, match="no bracket"):
+        shoot_3d(4.0)
+
+
+def test_shoot_unconverged_root_find_raises(monkeypatch):
+    import scipy.optimize
+
+    real = scipy.optimize.brentq
+
+    def stalled(f, a, b, **kwargs):
+        if not kwargs.get("full_output"):     # solve_ivp's event location
+            return real(f, a, b, **kwargs)
+        return a, SimpleNamespace(converged=False, flag="convergence error")
+
+    monkeypatch.setattr(scipy.optimize, "brentq", stalled)
+    shoot_3d.cache_clear()
+    with pytest.raises(BisectionStalled, match="root find"):
+        shoot_3d(4.0, rtol=1e-9)
 
 
 def test_profile_csv(tmp_path):
