@@ -21,7 +21,7 @@ import numpy as np
 from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
                      MassTooLarge, NearSingular, NotConverged)
-from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
+from .ground_state import (FAR_SWITCH, GroundStateResult, LinearizedOperator, Resolution,
                            SolverOptions, linearized_smallest_eigs,
                            solve_chi, solve_ground_state)
 from .limits import shoot_3d, soliton_1d
@@ -38,7 +38,7 @@ class BranchSample:
     slope_fd: float          # nan when not computed
     stability: str           # "stable" | "unstable" | "undetermined"
     eig_min: float           # smallest symmetric-sector eigenvalue (nan if skipped)
-    # chi = du/dlambda, physical picture (None on the FD fallback); not in the CSV, and
+    # chi = du/dlambda (None on the FD fallback); not in the CSV, and
     # a sweep drops it once the next solve has its start
     tangent: Field | None = field(default=None, repr=False, compare=False)
 
@@ -123,8 +123,6 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
     if compute_eig:
         lin = LinearizedOperator.at(result)
         eig_min = linearized_smallest_eigs(lin, n=1)[0][0]
-        if result.picture == "v":
-            eig_min *= -result.params.lam   # exact spectral rescaling to physical units
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
                         stability=classify_slope(slope), eig_min=eig_min,
@@ -315,8 +313,8 @@ def _mass_at(p, lam, resolution, opts, warm):
     init = None
     if warm[0] is not None and _warm_ok(warm[0].params.lam, lam):
         init = warm[0].u
-    elif lam <= -6.0 or LAMBDA0 - lam < 1.0:
-        init = "far" if lam <= -6.0 else "near"
+    elif lam <= FAR_SWITCH or LAMBDA0 - lam < 1.0:
+        init = "far" if lam <= FAR_SWITCH else "near"
     res = solve_ground_state(ModelParams(p=p, lam=lam), init=init,
                              resolution=resolution, opts=opts)
     warm[0] = res

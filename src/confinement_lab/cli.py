@@ -129,7 +129,7 @@ def cmd_solve(args) -> int:
         "gradient_norm": result.gradient_norm,
         "nehari_residual": result.nehari_residual,
         "iterations": result.iterations,
-        "picture": result.picture,
+        "picture": "u",
         "slope_chi": sample.slope_chi,
         "stability": sample.stability,
         "eig_min": sample.eig_min,

@@ -1,10 +1,13 @@
 """Ground states by Nehari-projected gradient descent with a Newton tail.
 
-The solver minimizes the action over the Nehari manifold.  Far below zero
-frequency the physical field is too narrow for the trap-scale basis, so
-the solve runs in the weak-trap picture (an exactly equivalent problem on
-an O(1) scale) and maps back; everything else runs in physical variables
-on a box stretched so the axial tail fits.
+The solver minimizes the action over the Nehari manifold, in physical
+variables at every frequency, on a grid whose scale follows the state
+(grid_for): far below zero frequency the radial basis frequency grows and
+the axial box shrinks with |lambda|, near LAMBDA0 the box stretches so the
+axial tail fits.  The Barzilai-Borwein step length is measured in the
+preconditioner's metric, which makes the descent covariant under these
+rescalings, so the narrow far states cost no more iterations than the
+O(1) ones.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
@@ -17,7 +20,7 @@ invariance; results are expanded to the full grid once per solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, minres
@@ -26,11 +29,13 @@ from .core import Field, ModelParams
 from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
                      NotCoercive, NotConverged, ZeroField)
 from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, build
-from .limits import free_soliton_field, reference_profile, soliton_1d, planar_ground_mode
-from .scaling import branch_derivative_from_v, from_v, to_v
+from .limits import reference_profile, soliton_1d, planar_ground_mode
+from .scaling import resample
 
-# Below this frequency the solve moves to the weak-trap picture.
+# At and below this frequency the grid takes the free-soliton scale |lambda|^{-1/2}.
 FAR_SWITCH = -6.0
+MAX_NEWTON = 50           # Newton steps per solve
+COLLAPSE_MASS = 1e-12     # an iterate with less squared L^2 norm has collapsed
 
 
 @dataclass(frozen=True)
@@ -46,38 +51,31 @@ class SolverOptions:
     tol_grad: float = 1e-9        # absolute L^2 norm of the action gradient
     tol_nehari: float = 1e-10     # relative to int |u|^p
     max_iter: int = 5000
-    newton_switch: float = 1e-3
-    max_newton: int = 50
-    collapse_mass: float = 1e-12
 
 
 @dataclass(frozen=True)
 class StationaryProblem:
-    """[kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const] u = nonlin*|u|^{p-2}u,
-    on the grid's even-sector arrays (apply_lin also takes full ones)."""
+    """[-Delta + |y|^2 - lam] u = |u|^{p-2}u on the grid's even-sector
+    arrays (apply_lin also takes full ones)."""
 
     grid: Discretization
     p: float
-    kin_y: float = 1.0
-    trap: float = 1.0
-    kin_z: float = 1.0
-    const: float = 0.0
-    nonlin: float = 1.0
+    lam: float
 
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.grid.apply_operator(coeffs, self.kin_y, self.trap, self.kin_z, self.const)
+        return self.grid.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam)
 
     def quadform_lin(self, coeffs: np.ndarray) -> float:
-        return self.grid.quadform(coeffs, self.kin_y, self.trap, self.kin_z, self.const)
+        return self.grid.quadform(coeffs, 1.0, 1.0, 1.0, -self.lam)
 
     def precond_diag(self) -> np.ndarray:
         g = self.grid
-        d = (g.diagonal(g.Mz // 2 + 1, self.kin_y, self.kin_z, self.const)
-             + g.tridiag_coef(self.kin_y, self.trap) * g._x1_diag[:, None])
+        d = (g.diagonal(g.Mz // 2 + 1, 1.0, 1.0, -self.lam)
+             + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None])
         return np.maximum(d, 1e-6)
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.to_even(self.nonlin * np.abs(values) ** (self.p - 2.0) * values)
+        return self.grid.to_even(np.abs(values) ** (self.p - 2.0) * values)
 
     def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.apply_lin(coeffs) - self.nonlinear_coeffs(values)
@@ -86,15 +84,11 @@ class StationaryProblem:
         return float(self.grid.quad_even(np.abs(values) ** self.p))
 
     def action_value(self, coeffs: np.ndarray, values: np.ndarray) -> float:
-        return 0.5 * self.quadform_lin(coeffs) - self.nonlin * self.lp_integral(values) / self.p
+        return 0.5 * self.quadform_lin(coeffs) - self.lp_integral(values) / self.p
 
 
 def problem_physical(params: ModelParams, grid: Discretization) -> StationaryProblem:
-    return StationaryProblem(grid=grid, p=params.p, const=-params.lam)
-
-
-def problem_weak_trap(p: float, mu: float, grid: Discretization) -> StationaryProblem:
-    return StationaryProblem(grid=grid, p=p, trap=mu, const=1.0)
+    return StationaryProblem(grid=grid, p=params.p, lam=params.lam)
 
 
 # -- core iteration --------------------------------------------------------------
@@ -119,7 +113,7 @@ def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
         raise ZeroField("Nehari projection of a (numerically) zero field")
     if quad <= 0.0:
         raise NotCoercive("quadratic form not positive; frequency out of range")
-    return (quad / (problem.nonlin * lp)) ** (1.0 / (problem.p - 2.0))
+    return (quad / lp) ** (1.0 / (problem.p - 2.0))
 
 
 def _project(problem, coeffs):
@@ -132,7 +126,7 @@ def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> LinearOpe
     """Hessian on flattened even-sector coefficients; the block product
     applies all columns with one transform pair."""
     g = problem.grid
-    w = problem.nonlin * (problem.p - 1.0) * np.abs(values) ** (problem.p - 2.0)
+    w = (problem.p - 1.0) * np.abs(values) ** (problem.p - 2.0)
     n = g.K * (g.Mz // 2 + 1)
 
     def mm(x):
@@ -162,7 +156,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
     coeffs0 is an even-sector start (see Discretization.reduce_even).
     """
     c = np.array(coeffs0, dtype=float)
-    if float(np.sum(c * c)) < opts.collapse_mass:
+    if float(np.sum(c * c)) < COLLAPSE_MASS:
         raise CollapsedToZero("initial iterate has (numerically) zero mass")
     c, un = _project(problem, c)
     J = problem.action_value(c, un)
@@ -182,22 +176,22 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         gn = float(np.sqrt(np.sum(grad * grad)))
         lp = problem.lp_integral(un)
         quad = problem.quadform_lin(c)
-        res = quad - problem.nonlin * lp
+        res = quad - lp
         converged = gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300)
         if converged or it > opts.max_iter:
             break
         mass = float(np.sum(c * c))
-        if mass < opts.collapse_mass:
+        if mass < COLLAPSE_MASS:
             raise CollapsedToZero(f"iterate mass collapsed at iteration {it}")
 
         # Newton only once the gradient is small relative to the state's own
         # scale, else the refinement can lock onto a nearby excited critical
         # point before the descent has relaxed the profile
         gscale = quad / np.sqrt(mass)
-        if mode == "gradient" and gn < min(opts.newton_switch, 1e-4 * gscale, newton_below):
+        if mode == "gradient" and gn < min(1e-4 * gscale, newton_below):
             mode = "newton"
         if mode == "newton":
-            if newton_used >= opts.max_newton:
+            if newton_used >= MAX_NEWTON:
                 break
             newton_used += 1
             rtol = min(0.1, np.sqrt(gn))
@@ -224,14 +218,16 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
                 alpha = 1.0
             continue
 
-        # preconditioned Barzilai-Borwein step with backtracking
+        # preconditioned Barzilai-Borwein step with backtracking; the length
+        # s^T P s / s^T y is measured in the preconditioner's metric, so it
+        # stays O(1) under the rescalings that grid_for applies
         direction = grad / pre
         if prev_c is not None:
             s = c - prev_c
             y = grad - prev_grad
             sy = float(np.sum(s * y))
             if sy > 0:
-                alpha = float(np.sum(s * s)) / sy
+                alpha = float(np.sum(pre * s * s)) / sy
             alpha = float(np.clip(alpha, 1e-4, 1e4))
         prev_c, prev_grad = c, grad
         accepted = False
@@ -266,10 +262,7 @@ class GroundStateResult:
     nehari_residual: float
     iterations: int
     converged: bool
-    picture: str = "u"
-    native: Field | None = None
-    native_problem: StationaryProblem | None = None
-    native_gradient_norm: float = 0.0
+    problem: StationaryProblem
     action_history: list = field(default_factory=list)
 
 
@@ -281,46 +274,41 @@ def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     return t, t * u
 
 
-def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> tuple[str, Discretization]:
-    """Pick the solve picture and grid for a frequency.
+def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Discretization:
+    """The grid for a frequency, its scale following the state's.
 
-    Physical solves stretch the axial box like tau^{-1/2} near LAMBDA0 so
-    the elongated state keeps a fixed box in stretched coordinates; far
-    solves (lambda <= FAR_SWITCH) use a weak-trap-picture grid of unit
-    frequency, where the state is O(1) in every direction.
+    Far solves (lambda <= FAR_SWITCH) take radial basis frequency |lambda|
+    and an axial box shrunk by |lambda|^{-1/2}, the free-soliton scale;
+    near LAMBDA0 the box stretches like tau^{-1/2} so the elongated state
+    keeps a fixed box in stretched coordinates; in between the grid is the
+    unit one.
     """
+    omega, stretch = 1.0, 1.0
     if params.lam <= FAR_SWITCH:
-        return "v", build(resolution.K, resolution.Mz, resolution.Lz,
-                          omega=1.0, oversample=resolution.oversample)
-    tau = params.tau
-    stretch = 1.0 if tau >= 1.0 else 1.0 / np.sqrt(tau)
-    return "u", build(resolution.K, resolution.Mz, resolution.Lz * stretch,
-                      omega=1.0, oversample=resolution.oversample)
+        omega = -params.lam
+        stretch = 1.0 / np.sqrt(omega)
+    elif params.tau < 1.0:
+        stretch = 1.0 / np.sqrt(params.tau)
+    return build(resolution.K, resolution.Mz, resolution.Lz * stretch,
+                 omega=omega, oversample=resolution.oversample)
 
 
-def _starts(picture: str, params: ModelParams, grid: Discretization) -> dict[str, np.ndarray]:
+def _starts(params: ModelParams, grid: Discretization) -> dict[str, np.ndarray]:
     """Even-sector start coefficients by name."""
     p = params.p
     out = {}
     z = grid.half_values(grid.z)   # only even functions of z are sampled
-    if picture == "u":
-        if params.tau < 1.0:
-            out["near"] = grid.reduce_even(reference_profile(params, "near", grid).coeffs)
-        else:
-            sol = soliton_1d(p)   # factorized guess without the tau-rescale
-            out["near"] = grid.to_even(np.outer(planar_ground_mode(grid), sol(z)))
-        if params.lam < 0:
-            out["far"] = grid.reduce_even(reference_profile(params, "far", grid).coeffs)
-    else:
-        out["far"] = grid.reduce_even(free_soliton_field(p, grid).coeffs)
-    out["gaussian"] = grid.to_even(np.exp(-(grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
+    if params.tau < 1.0:
+        out["near"] = grid.reduce_even(reference_profile(params, "near", grid).coeffs)
+    elif params.lam > FAR_SWITCH:
+        sol = soliton_1d(p)   # factorized guess without the tau-rescale
+        out["near"] = grid.to_even(np.outer(planar_ground_mode(grid), sol(z)))
+    if params.lam < 0:
+        out["far"] = grid.reduce_even(reference_profile(params, "far", grid).coeffs)
+    # isotropic Gaussian at the grid's own radial scale
+    out["gaussian"] = grid.to_even(
+        np.exp(-grid.omega * (grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
     return out
-
-
-def _gradient_factor(params: ModelParams) -> float:
-    """||grad J_lambda(u)|| / ||grad J_weak(v)|| under the exact rescaling."""
-    s = -params.lam
-    return s ** (1.0 / (params.p - 2.0) + 0.25)
 
 
 def solve_ground_state(params: ModelParams, init: Field | str | None = None,
@@ -335,39 +323,28 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
     start with fewer iterations; pass a Field or one of
     "near"/"far"/"gaussian" to pin the start.
     """
-    if grid is not None:
-        picture = "u"
-    else:
-        picture, grid = grid_for(params, resolution)
-
-    if picture == "v":
-        mu = params.mu
-        prob = problem_weak_trap(params.p, mu, grid)
-        native_opts = replace(opts, tol_grad=opts.tol_grad / _gradient_factor(params))
-    else:
-        prob = problem_physical(params, grid)
-        native_opts = opts
+    if grid is None:
+        grid = grid_for(params, resolution)
+    prob = problem_physical(params, grid)
 
     if isinstance(init, Field):
-        src = init if picture == "u" else to_v(init, params.lam, params.p)
-        if not src.grid.compatible(grid):
-            from .scaling import resample
-            src = resample(src, grid, check_tail=False)
-        starts = [grid.reduce_even(src.coeffs)]
-        if float(np.sum(starts[0] ** 2)) < opts.collapse_mass:
+        if not init.grid.compatible(grid):
+            init = resample(init, grid, check_tail=False)
+        starts = [grid.reduce_even(init.coeffs)]
+        if float(np.sum(starts[0] ** 2)) < COLLAPSE_MASS:
             raise ZeroField("init field is zero after symmetrization")
     elif isinstance(init, str):
-        cands = _starts(picture, params, grid)
+        cands = _starts(params, grid)
         if init not in cands:
             raise ValueError(f"start {init!r} unavailable here (have {sorted(cands)})")
         starts = [cands[init]]
     else:
-        starts = list(_starts(picture, params, grid).values())
+        starts = list(_starts(params, grid).values())
 
     best = None
     for c0 in starts:
         try:
-            res = iterate_ground_state(prob, c0, native_opts)
+            res = iterate_ground_state(prob, c0, opts)
         except (CollapsedToZero, ZeroField):
             continue
         tie = 1e-12 * abs(res.action)
@@ -377,10 +354,10 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
     if best is None:
         raise NotConverged(opts.max_iter, np.nan, what="ground state")
 
-    return _package_result(params, picture, prob, best)
+    return _package_result(params, prob, best)
 
 
-def _package_result(params: ModelParams, picture: str, prob: StationaryProblem,
+def _package_result(params: ModelParams, prob: StationaryProblem,
                     res: IterationResult) -> GroundStateResult:
     vmax = float(np.abs(res.values).max())
     vmin = float(res.values.min())
@@ -388,29 +365,16 @@ def _package_result(params: ModelParams, picture: str, prob: StationaryProblem,
     # Gaussian-weighted basis ring at the level of the radial spectral
     # tail, so the floor is measured rather than fixed
     tail = float(np.linalg.norm(res.coeffs[-4:, :]) / np.linalg.norm(res.coeffs))
-    positive = vmin >= -max(1e-8, tail) * vmax
-    native = Field(prob.grid, values=res.values, coeffs=res.coeffs,
-                   real=True, even_z=True, positive=positive)
-    if picture == "v":
-        u = from_v(native, params.lam, params.p)
-        s = -params.lam
-        action_u = s ** (params.p / (params.p - 2.0) - 1.5) * res.action
-        mass_u = s ** (2.0 / (params.p - 2.0) - 1.5) * float(np.sum(res.coeffs**2))
-        gn_u = res.grad_norm * _gradient_factor(params)
-    else:
-        u = native
-        action_u = res.action
-        mass_u = float(np.sum(res.coeffs**2))
-        gn_u = res.grad_norm
-    if not positive:
+    if not vmin >= -max(1e-8, tail) * vmax:
         raise NotConverged(res.iterations, res.grad_norm,
                            what="ground state (converged to a sign-changing state)")
-    return GroundStateResult(u=u, params=params, action=action_u, mass=mass_u,
-                             gradient_norm=gn_u, nehari_residual=res.nehari_residual,
+    u = Field(prob.grid, values=res.values, coeffs=res.coeffs,
+              real=True, even_z=True, positive=True)
+    return GroundStateResult(u=u, params=params, action=res.action,
+                             mass=float(np.sum(res.coeffs**2)),
+                             gradient_norm=res.grad_norm, nehari_residual=res.nehari_residual,
                              iterations=res.iterations, converged=res.converged,
-                             picture=picture, native=native, native_problem=prob,
-                             native_gradient_norm=res.grad_norm,
-                             action_history=res.action_history)
+                             problem=prob, action_history=res.action_history)
 
 
 # -- linearized operator ----------------------------------------------------------
@@ -426,7 +390,7 @@ class LinearizedOperator:
 
     @classmethod
     def at(cls, result: GroundStateResult) -> "LinearizedOperator":
-        return cls(problem=result.native_problem, base_values=result.native.values)
+        return cls(problem=result.problem, base_values=result.u.values)
 
     @classmethod
     def free(cls, params: ModelParams, grid: Discretization) -> "LinearizedOperator":
@@ -435,7 +399,7 @@ class LinearizedOperator:
 
     def apply_field(self, f: Field) -> Field:
         prob = self.problem
-        w = prob.nonlin * (prob.p - 1.0) * np.abs(self.base_values) ** (prob.p - 2.0)
+        w = (prob.p - 1.0) * np.abs(self.base_values) ** (prob.p - 2.0)
         out = prob.apply_lin(f.coeffs)
         out = out - prob.grid.to_coeffs(w * f.values)
         return Field(prob.grid, coeffs=out, real=f.real, even_z=f.even_z)
@@ -491,28 +455,17 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
               maxiter: int = 3000) -> tuple[Field, float]:
     """Solve the linearized equation L chi = u in the symmetric sector.
 
-    Returns the frequency-derivative field (physical picture) and the mass
-    slope d/dlambda int u^2 = 2 int u*chi.  For weak-trap-picture states
-    the solve happens natively and the slope uses the exact equivalence
-    prefactor |lambda|^{(4-p)/(p-2) - 3/2}.
+    Returns the frequency-derivative field chi = du/dlambda and the mass
+    slope d/dlambda int u^2 = 2 int u*chi.
     """
-    prob = result.native_problem
-    lin = LinearizedOperator(problem=prob, base_values=result.native.values)
-    g = prob.grid
-    rhs = g.reduce_even(result.native.coeffs).ravel()
-    x, info = minres(lin.sector_operator(), rhs, M=_sector_precond(prob),
+    lin = LinearizedOperator.at(result)
+    u = result.u
+    g = u.grid
+    rhs = g.reduce_even(u.coeffs).ravel()
+    x, info = minres(lin.sector_operator(), rhs, M=_sector_precond(result.problem),
                      rtol=rtol, maxiter=maxiter)
-    chi_native = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
-    resid = (lin.apply_field(chi_native) - result.native).l2_norm()
-    if resid > 1e-8 * result.native.l2_norm():
+    chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
+    resid = (lin.apply_field(chi) - u).l2_norm()
+    if resid > 1e-8 * u.l2_norm():
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")
-    inner = float(x @ rhs)
-    p = result.params.p
-    if result.picture == "v":
-        s = -result.params.lam
-        slope = 2.0 * s ** ((4.0 - p) / (p - 2.0) - 1.5) * inner
-        chi = branch_derivative_from_v(chi_native, result.params.lam, p)
-    else:
-        slope = 2.0 * inner
-        chi = chi_native
-    return chi, slope
+    return chi, 2.0 * float(x @ rhs)

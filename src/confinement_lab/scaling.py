@@ -14,6 +14,11 @@ default transform is a relabeling: same arrays, new grid metadata, one
 amplitude factor.  No interpolation error enters, and the action/mass
 equivalence factors hold to roundoff.  Resampling onto an arbitrary grid
 goes through spectral evaluation instead.
+
+Every solve runs in physical variables; these maps carry its results to
+the limit problems for the asymptotic checks.  The far-regime solve grid
+(ground_state.grid_for) is the image of the unit grid under from_v, so
+to_v of a far ground state lands on the unit grid.
 """
 
 from __future__ import annotations
@@ -131,14 +136,6 @@ def branch_derivative_to_v(chi: Field, lam: float, p: float) -> Field:
     s = np.sqrt(-lam)
     return _relabel(chi, omega_factor=1.0 / (-lam), z_factor=s,
                     amplitude=(-lam) ** ((p - 3.0) / (p - 2.0)))
-
-
-def branch_derivative_from_v(chi_v: Field, lam: float, p: float) -> Field:
-    if lam >= 0:
-        raise ValueError("weak-trap picture needs lambda < 0")
-    s = np.sqrt(-lam)
-    return _relabel(chi_v, omega_factor=(-lam), z_factor=1.0 / s,
-                    amplitude=(-lam) ** (-(p - 3.0) / (p - 2.0)))
 
 
 def branch_derivative_to_w(chi: Field, lam: float, p: float) -> Field:

@@ -16,7 +16,7 @@ from .ground_state import Resolution, SolverOptions, solve_ground_state
 from .branch import (analyze_sample, default_lambda_grid, mass_sup_scan,
                      slope_prefactor_far, slope_prefactor_near, sweep)
 from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
-from .scaling import mass_factor_stretched, mass_factor_weak_trap, to_w
+from .scaling import mass_factor_stretched, mass_factor_weak_trap, to_v, to_w
 from .functionals import quadratic_parts
 
 
@@ -39,11 +39,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
         res = solve_ground_state(params, init=warm.u if warm else "far",
                                  resolution=resolution, opts=opts)
         warm = res
-        if res.picture != "v":
-            from .scaling import to_v
-            vfield = to_v(res.u, lam, p)
-        else:
-            vfield = res.native
+        vfield = to_v(res.u, lam, p)
         ref = free_soliton_field(p, vfield.grid, profile=prof)
         dist = h1_distance(vfield, ref, relative=True)
         premult = mass_factor_weak_trap(p, lam) * res.mass

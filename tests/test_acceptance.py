@@ -214,7 +214,7 @@ def test_criterion_07_far_regime(far_sequence_p4, shot3d_p4):
     res_ok = abs(coarse.mass / shot3d_p4.mass - 1.0) <= 1e-3
     dists, premult = [], []
     for lam, res in far_sequence_p4.items():
-        v = res.native if res.picture == "v" else to_v(res.u, lam, 4.0)
+        v = to_v(res.u, lam, 4.0)
         dists.append(h1_distance(v, free_soliton_field(4.0, v.grid, profile=shot3d_p4),
                                  relative=True))
         premult.append(mass_factor_weak_trap(4.0, lam) * res.mass)

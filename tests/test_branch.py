@@ -222,14 +222,12 @@ def test_predicted_chain_matches_cold_solves():
 @pytest.mark.parametrize("state", ["state_near_p4", "state_far_p4"])
 def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     """The one-column eigensolve of the sweep finds the same smallest
-    sector eigenvalue as a three-column one, in both solve pictures."""
+    sector eigenvalue as a three-column one, on the unit-frequency grid and
+    on the far grid of radial basis frequency |lambda|."""
     from confinement_lab.branch import analyze_sample
     from confinement_lab.ground_state import LinearizedOperator, linearized_smallest_eigs
     res = request.getfixturevalue(state)
-    assert res.picture == ("u" if state == "state_near_p4" else "v")
     ref = linearized_smallest_eigs(LinearizedOperator.at(res), n=3)[0][0]
-    if res.picture == "v":
-        ref *= -res.params.lam
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
 
 

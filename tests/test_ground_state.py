@@ -8,10 +8,10 @@ from confinement_lab.grid import build
 from confinement_lab import ground_state
 from confinement_lab.ground_state import (LinearizedOperator, Resolution,
                                           linearized_smallest_eigs, nehari_scale,
-                                          problem_physical, problem_weak_trap,
+                                          grid_for, problem_physical,
                                           solve_chi, solve_ground_state)
 from confinement_lab.limits import near_limit_field, free_soliton_field, soliton_1d
-from confinement_lab.scaling import branch_derivative_to_w, to_w
+from confinement_lab.scaling import branch_derivative_to_w, to_v, to_w
 from confinement_lab.functionals import h_distance, h1_distance
 from conftest import random_band_limited
 
@@ -74,8 +74,8 @@ def test_near_solve_matches_limit_profile(state_near_p4):
 
 def test_far_solve_matches_free_soliton(state_far_p4, shot3d_p4):
     res = state_far_p4
-    assert res.converged and res.picture == "v"
-    v = res.native
+    assert res.converged
+    v = to_v(res.u, res.params.lam, 4.0)
     ref = free_soliton_field(4.0, v.grid, profile=shot3d_p4)
     assert h1_distance(v, ref, relative=True) <= 0.05
     assert res.gradient_norm <= 1e-9
@@ -135,6 +135,15 @@ def test_failed_minres_gives_no_newton_step(monkeypatch):
     assert res.action == pytest.approx(healthy.action, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam", [-5.43, 0.0])
+def test_cold_solve_iterations(lam):
+    """The Barzilai-Borwein length in the preconditioner's metric keeps the
+    cold multi-start solve short where the state is narrow on the unit
+    grid (lambda = -5.43) as well as where it fits it (lambda = 0)."""
+    res = solve_ground_state(ModelParams(p=4.0, lam=lam))
+    assert res.converged and res.iterations <= 40
+
+
 def test_multi_start_returns_least_action():
     params = ModelParams(p=4.0, lam=1.5)
     res_auto = solve_ground_state(params, resolution=Resolution(K=24, Mz=128))
@@ -154,9 +163,9 @@ def test_multi_start_tie_goes_to_fewer_iterations(monkeypatch, second, kept):
     roundoff in the last digits of the action."""
     from dataclasses import replace
     params, resolution = ModelParams(p=4.0, lam=0.5), Resolution(K=16, Mz=64)
-    _, grid = ground_state.grid_for(params, resolution)
+    grid = ground_state.grid_for(params, resolution)
     real = ground_state.iterate_ground_state(ground_state.problem_physical(params, grid),
-                                             ground_state._starts("u", params, grid)["gaussian"])
+                                             ground_state._starts(params, grid)["gaussian"])
     factor, iterations = second
     candidates = iter([replace(real, iterations=50),
                        replace(real, iterations=iterations, action=factor * real.action)])
@@ -177,7 +186,7 @@ def test_free_oscillator_smallest_eig(small_grid):
 
 def test_selfadjointness(state_near_p4, rng):
     lin = LinearizedOperator.at(state_near_p4)
-    g = state_near_p4.native.grid
+    g = state_near_p4.u.grid
     a = random_band_limited(g, rng, even_z=False)
     b = random_band_limited(g, rng, even_z=False)
     la = lin.apply_field(a)
@@ -200,8 +209,8 @@ def test_translation_direction_in_kernel(state_near_p4):
     full-sector linearized operator: the translation degeneracy lives in the
     odd sector only."""
     res = state_near_p4
-    g = res.native.grid
-    dz_coeffs = res.native.coeffs * (1j * g.xi[None, :])
+    g = res.u.grid
+    dz_coeffs = res.u.coeffs * (1j * g.xi[None, :])
     dz_u = Field(g, coeffs=dz_coeffs, real=True, even_z=False)
     lin = LinearizedOperator.at(res)
     img = lin.apply_field(dz_u)
@@ -279,18 +288,17 @@ def test_symmetrize_coeffs_idempotent(rng):
     assert np.abs(g.reduce_even(odd)).max() == 0.0
 
 
-@pytest.mark.parametrize("picture", ["u", "v"])
-def test_sector_hessian_block_product(picture, rng):
-    """The block product equals the column-by-column product, in the
-    diagonal (physical) and tridiagonal (weak-trap) pictures, and is
-    symmetric."""
-    g = build(K=12, Mz=32, Lz=8.0)
-    if picture == "u":
-        prob = problem_physical(ModelParams(p=4.0, lam=0.5), g)
-    else:
-        prob = problem_weak_trap(4.0, 0.3, g)
+@pytest.mark.parametrize("lam", [0.5, -8.0])
+def test_sector_hessian_block_product(lam, rng):
+    """The block product equals the column-by-column product, and is
+    symmetric, on the unit grid (diagonal linear part) and on a far grid
+    of radial basis frequency |lambda| (tridiagonal linear part)."""
+    params = ModelParams(p=4.0, lam=lam)
+    g = grid_for(params, Resolution(K=12, Mz=32, Lz=8.0))
+    assert g.omega == max(1.0, -lam)
+    prob = problem_physical(params, g)
     z = g.dz * np.arange(g.Mz // 2 + 1)
-    base = 2.0 * np.exp(-(g.r[:, None] ** 2 + z[None, :] ** 2) / 2.0)
+    base = 2.0 * np.exp(-g.omega * (g.r[:, None] ** 2 + z[None, :] ** 2) / 2.0)
     hess = ground_state._sector_hessian(prob, base)
     X = rng.standard_normal((hess.shape[0], 3))
     block = hess.matmat(X)

@@ -107,27 +107,53 @@ def test_resample_tail_guard(medium_grid, rng):
 
 
 def test_picture_independence(shot3d_p4):
-    """Solving in physical variables (trap-scale basis, tridiagonal linear
-    algebra) and mapping agrees with solving the weak-trap problem directly
-    (unit basis, diagonal path): the pictures are exactly equivalent, so on
-    identical spans the two discrete solutions must coincide to solver
-    tolerance, far inside the 1e-4 contract."""
-    from confinement_lab.ground_state import solve_ground_state
+    """Solving in physical variables on the far grid (trap-scale basis,
+    tridiagonal linear algebra) and mapping agrees with solving the
+    weak-trap problem [-Delta + mu |y|^2 + 1] v = |v|^{p-2} v, mu =
+    1/lambda^2, directly on the unit grid (diagonal path): the pictures are
+    exactly equivalent, so on identical spans the two discrete solutions
+    must coincide to solver tolerance, far inside the 1e-4 contract."""
+    from dataclasses import dataclass
+    from confinement_lab.core import Field
+    from confinement_lab.ground_state import (SolverOptions, StationaryProblem,
+                                              iterate_ground_state, solve_ground_state)
+    from confinement_lab.limits import free_soliton_field
+
+    @dataclass(frozen=True)
+    class WeakTrapProblem(StationaryProblem):
+        mu: float = 0.0
+
+        def apply_lin(self, coeffs):
+            return self.grid.apply_operator(coeffs, 1.0, self.mu, 1.0, 1.0)
+
+        def quadform_lin(self, coeffs):
+            return self.grid.quadform(coeffs, 1.0, self.mu, 1.0, 1.0)
+
+        def precond_diag(self):
+            g = self.grid
+            return (g.diagonal(g.Mz // 2 + 1, 1.0, 1.0, 1.0)
+                    + g.tridiag_coef(1.0, self.mu) * g._x1_diag[:, None])
+
     lam = -8.0
     params = ModelParams(p=P, lam=lam)
-    # weak-trap-native route (default for lambda <= -6)
-    res_v = solve_ground_state(params, init="far")
-    assert res_v.picture == "v"
-    gv = res_v.native.grid
-    # physical route whose grid relabels onto the native one
-    gu = build(K=gv.K, Mz=gv.Mz, Lz=gv.Lz / np.sqrt(8.0), omega=8.0)
-    res_u = solve_ground_state(params, init="far", grid=gu)
-    assert res_u.picture == "u"
-    v_from_u = to_v(res_u.u, lam, P)
-    moved = resample(v_from_u, gv, check_tail=False)
-    d = h1_distance(moved, res_v.native, relative=False)
+    # physical route on the far grid (default for lambda <= -6)
+    res_u = solve_ground_state(params, init="far")
+    gu = res_u.u.grid
+    assert gu.omega == 8.0
+    # weak-trap route on the unit grid that the far grid relabels onto, to
+    # the same tolerance: ||grad J_lambda(u)|| = |lambda|^{1/(p-2)+1/4} ||grad J_weak(v)||
+    gv = build(K=gu.K, Mz=gu.Mz, Lz=24.0)
+    prob_v = WeakTrapProblem(grid=gv, p=P, lam=lam, mu=params.mu)
+    tol = SolverOptions().tol_grad / (-lam) ** (1.0 / (P - 2.0) + 0.25)
+    start = gv.reduce_even(free_soliton_field(P, gv, profile=shot3d_p4).coeffs)
+    res_v = iterate_ground_state(prob_v, start, SolverOptions(tol_grad=tol))
+    assert res_v.converged
+    v = Field(gv, coeffs=res_v.coeffs, real=True, even_z=True)
+    moved = resample(to_v(res_u.u, lam, P), gv, check_tail=False)
+    d = h1_distance(moved, v, relative=False)
     assert d <= 1e-4
-    assert res_u.mass == pytest.approx(res_v.mass, rel=1e-6)
+    mass_v = float(np.sum(res_v.coeffs ** 2))
+    assert res_u.mass == pytest.approx(mass_v / mass_factor_weak_trap(P, lam), rel=1e-6)
 
 
 def test_q_fraction_decreases_toward_limit(state_near_p4):
