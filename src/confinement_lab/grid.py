@@ -201,12 +201,6 @@ class Discretization:
         out[..., 1:, :] += self._x1_off[:, None] * coeffs[..., :-1, :]
         return out
 
-    def quadform(self, coeffs: np.ndarray, kin_y: float, trap: float,
-                 kin_z: float, const: float) -> float:
-        """<u, A u> for the same operator family (real part)."""
-        au = self.apply_operator(coeffs, kin_y, trap, kin_z, const)
-        return float(np.real(np.sum(np.conj(coeffs) * au)))
-
     # -- pointwise evaluation ------------------------------------------------
 
     def evaluate(self, coeffs: np.ndarray, r_pts: np.ndarray, z_pts: np.ndarray) -> np.ndarray:

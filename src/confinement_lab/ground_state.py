@@ -12,18 +12,19 @@ O(1) ones.
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
 (indefinite, self-adjoint) linear systems with MINRES.  Iterates, the
-Hessian (with a block product for LOBPCG) and the linearized solves all
-live on the grid's real even-in-z representation (Discretization.to_even:
-a DCT-I over the nodes z >= 0), which freezes the axial translation
-invariance; results are expanded to the full grid once per solve.
+Hessian (applied in blocks by the in-repo LOBPCG) and the linearized
+solves all live on the grid's real even-in-z representation
+(Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
+axial translation invariance; results are expanded to the full grid once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg, minres
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
 from .core import Field, ModelParams
 from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
@@ -56,22 +57,32 @@ class SolverOptions:
 @dataclass(frozen=True)
 class StationaryProblem:
     """[-Delta + |y|^2 - lam] u = |u|^{p-2}u on the grid's even-sector
-    arrays (apply_lin also takes full ones)."""
+    arrays (apply_lin and quadform_lin also take full ones)."""
 
     grid: Discretization
     p: float
     lam: float
 
+    @cached_property
+    def _even_diag(self) -> np.ndarray:
+        return self.grid.diagonal(self.grid.Mz // 2 + 1, 1.0, 1.0, -self.lam)
+
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.grid.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam)
+        g = self.grid
+        if coeffs.shape[-1] != g.Mz // 2 + 1:     # a full-grid array
+            return g.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam)
+        out = self._even_diag * coeffs
+        gamma = g.tridiag_coef(1.0, 1.0)
+        if gamma != 0.0:
+            out += gamma * g._x1_mult(coeffs)
+        return out
 
     def quadform_lin(self, coeffs: np.ndarray) -> float:
-        return self.grid.quadform(coeffs, 1.0, 1.0, 1.0, -self.lam)
+        return float(np.real(np.sum(np.conj(coeffs) * self.apply_lin(coeffs))))
 
     def precond_diag(self) -> np.ndarray:
         g = self.grid
-        d = (g.diagonal(g.Mz // 2 + 1, 1.0, 1.0, -self.lam)
-             + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None])
+        d = self._even_diag + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None]
         return np.maximum(d, 1e-6)
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
@@ -409,18 +420,60 @@ class LinearizedOperator:
         return _sector_hessian(self.problem, self.problem.grid.half_values(self.base_values))
 
 
-# what a failed block or Lanczos eigensolve raises (ArpackNoConvergence included)
-_EIG_ERRORS = (np.linalg.LinAlgError, ValueError, ArpackError)
+def _orthonormalize(Q: np.ndarray, start: int, stop: int) -> None:
+    """Make columns start..stop-1 of Q orthonormal to all before them."""
+    for j in range(start, stop):
+        for _ in range(2):
+            Q[:, j] -= Q[:, :j] @ (Q[:, :j].T @ Q[:, j])
+            norm = np.sqrt(Q[:, j] @ Q[:, j])
+            if not norm > 0.0:
+                raise np.linalg.LinAlgError("LOBPCG search block lost rank")
+            Q[:, j] /= norm
+
+
+def lobpcg(A: LinearOperator, X: np.ndarray, M: LinearOperator,
+           tol: float = 2e-7, maxiter: int = 800) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenpairs of the symmetric A by block LOBPCG (Knyazev 2001),
+    one per column of the start X: Rayleigh-Ritz on the orthonormal basis
+    [X, P, W], W = M R, with one A apply (to W) per iteration; raises
+    EigsNotConverged unless every ||A x - theta x|| <= tol by maxiter."""
+    N, n = X.shape
+    S = np.empty((N, 3 * n), order="F")
+    AS = np.empty_like(S)
+    S[:, :n] = X
+    _orthonormalize(S, 0, n)
+    AS[:, :n] = A.matmat(S[:, :n])
+    k, active = n, np.zeros(n, dtype=bool)      # columns of S in use
+    for it in range(maxiter + 1):
+        G = S[:, :k].T @ AS[:, :k]
+        vals, C = np.linalg.eigh(0.5 * (G + G.T))
+        # next X: the Ritz vectors; next P: the P and W parts of those that
+        # were active, made orthonormal to them here (Hetmaniuk & Lehoucq 2006)
+        p = int(active.sum())
+        C2 = np.hstack([C[:, :n], C[:, :n][:, active]])
+        C2[:n, n:] = 0.0
+        _orthonormalize(C2, n, n + p)
+        S[:, :n + p], AS[:, :n + p] = S[:, :k] @ C2, AS[:, :k] @ C2
+        R = AS[:, :n] - S[:, :n] * vals[:n]
+        rnorm = np.sqrt(np.sum(R * R, axis=0))
+        active = rnorm > tol            # converged columns get no new directions
+        if not active.any():
+            return vals[:n], S[:, :n].copy()
+        if it < maxiter:
+            k = n + p + int(active.sum())
+            S[:, n + p:k] = M.matmat(R[:, active])
+            _orthonormalize(S, n + p, k)
+            AS[:, n + p:k] = A.matmat(S[:, n + p:k])
+    raise EigsNotConverged(f"LOBPCG residual {rnorm.max():.2e} after {maxiter} iterations")
 
 
 def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
                              tol: float = 2e-7, maxiter: int = 800):
     """n smallest eigenpairs of the symmetric-sector restriction.
 
-    Preconditioned block iteration (LOBPCG) seeded with the base state,
-    which spans the single negative direction of a ground state; falls
-    back to Lanczos if the block iteration fails.  Each returned pair is
-    residual-checked to 1e-6 * ||phi||.
+    lobpcg seeded with the base state, which spans the single negative
+    direction of a ground state; falls back to Lanczos if it fails or does
+    not converge.  Each returned pair is residual-checked to 1e-6 * ||phi||.
     """
     g = lin.problem.grid
     op = lin.sector_operator()
@@ -431,12 +484,11 @@ def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
     if np.linalg.norm(seed) > 1e-10:
         X[:, 0] = seed
     try:
-        vals, vecs = lobpcg(op, X, M=pre, largest=False, tol=tol,
-                            maxiter=maxiter, verbosityLevel=0)
-    except _EIG_ERRORS:
+        vals, vecs = lobpcg(op, X, M=pre, tol=tol, maxiter=maxiter)
+    except (EigsNotConverged, np.linalg.LinAlgError):
         try:
             vals, vecs = eigsh(op, k=n, which="SA", tol=1e-9, maxiter=5000)
-        except _EIG_ERRORS as exc:
+        except (np.linalg.LinAlgError, ValueError, ArpackError) as exc:
             raise EigsNotConverged(str(exc)) from exc
     order = np.argsort(vals)
     vals = vals[order]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from confinement_lab.core import LAMBDA0, Field, ModelParams
-from confinement_lab.errors import CollapsedToZero, NearSingular, ZeroField
+from confinement_lab.errors import (CollapsedToZero, EigsNotConverged, NearSingular,
+                                    ZeroField)
 from confinement_lab.functionals import pohozaev_residual, report
 from confinement_lab.grid import build
 from confinement_lab import ground_state
@@ -182,6 +184,104 @@ def test_free_oscillator_smallest_eig(small_grid):
     lin = LinearizedOperator.free(ModelParams(p=4.0, lam=0.0), small_grid)
     eigs = linearized_smallest_eigs(lin, n=3)
     assert eigs[0][0] == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.fixture(scope="module", params=["unit", "far", "free"])
+def tiny_lin(request):
+    """Linearized operators with 72 sector unknowns (K=8, Mz=16): at a
+    ground state on the unit grid (diagonal linear part), at one on the far
+    grid of radial basis frequency 8 (tridiagonal), and the free one."""
+    if request.param == "free":
+        return LinearizedOperator.free(ModelParams(p=4.0, lam=0.0), build(K=8, Mz=16, Lz=8.0))
+    lam = {"unit": 0.5, "far": -8.0}[request.param]
+    res = solve_ground_state(ModelParams(p=4.0, lam=lam), resolution=Resolution(K=8, Mz=16))
+    assert res.u.grid.omega == max(1.0, -lam)
+    return LinearizedOperator.at(res)
+
+
+def _dense_eigh(lin):
+    op = lin.sector_operator()
+    return np.linalg.eigh(op.matmat(np.eye(op.shape[0])))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_smallest_eigs_match_dense_reference(tiny_lin, n, monkeypatch):
+    """The block iteration (no Lanczos fallback) finds the n smallest
+    eigenvalues of the densified sector operator, and its lowest vector."""
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the block iteration fell back to eigsh")
+
+    monkeypatch.setattr(ground_state, "eigsh", no_fallback)
+    vals, vecs = _dense_eigh(tiny_lin)
+    eigs = linearized_smallest_eigs(tiny_lin, n=n)
+    assert np.allclose([v for v, _ in eigs], vals[:n], rtol=1e-9, atol=0.0)
+    g = tiny_lin.problem.grid
+    phi = g.reduce_even(eigs[0][1].coeffs).ravel()
+    assert abs(phi @ vecs[:, 0]) == pytest.approx(np.linalg.norm(phi), rel=1e-9)
+
+
+def test_lobpcg_applies_blocks_once_per_iteration(tiny_lin):
+    """Only matmat touches the operators, and each iteration applies the
+    Hessian once, to the preconditioned residuals: one apply more than
+    the preconditioner, for the start block.  The search directions P keep
+    it under 100 iterations here (13-75); without them it takes 35, 158
+    and more than 800."""
+    calls = {"A": 0, "M": 0}
+
+    class BlocksOnly(LinearOperator):
+        def __init__(self, op, key):
+            super().__init__(op.dtype, op.shape)
+            self.op, self.key = op, key
+
+        def _matvec(self, x):
+            raise AssertionError("column applied through matvec")
+
+        def _matmat(self, X):
+            calls[self.key] += 1
+            return self.op.matmat(X)
+
+    op = tiny_lin.sector_operator()
+    pre = ground_state._sector_precond(tiny_lin.problem)
+    X = np.random.default_rng(1).standard_normal((op.shape[0], 3))
+    vals, _ = ground_state.lobpcg(BlocksOnly(op, "A"), X, M=BlocksOnly(pre, "M"))
+    assert np.allclose(vals, _dense_eigh(tiny_lin)[0][:3], rtol=1e-9, atol=0.0)
+    assert 0 < calls["M"] < 100 and calls["A"] == calls["M"] + 1
+
+
+def test_unconverged_block_iteration_falls_back_to_lanczos(tiny_lin, monkeypatch):
+    """An iteration that runs out of iterations raises, and the sweep's
+    eigensolve then takes the eigsh fallback and still passes its
+    residual check."""
+    op = tiny_lin.sector_operator()
+    pre = ground_state._sector_precond(tiny_lin.problem)
+    with pytest.raises(EigsNotConverged):
+        ground_state.lobpcg(op, np.ones((op.shape[0], 1)), M=pre, maxiter=1)
+    calls = []
+    eigsh = ground_state.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(ground_state, "eigsh", counted)
+    eigs = linearized_smallest_eigs(tiny_lin, n=1, maxiter=1)
+    assert calls == [1]
+    assert eigs[0][0] == pytest.approx(_dense_eigh(tiny_lin)[0][0], rel=1e-9)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ArpackNoConvergence("no convergence", np.empty(0), np.empty((72, 0))), EigsNotConverged),
+    (TypeError("not an eigensolver failure"), TypeError)])
+def test_failed_fallback_raises(tiny_lin, monkeypatch, error, raised):
+    """When the fallback fails too, EigsNotConverged is raised from its
+    error; an error that is no eigensolver failure is not caught."""
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ground_state, "eigsh", failing)
+    with pytest.raises(raised) as info:
+        linearized_smallest_eigs(tiny_lin, n=1, maxiter=1)
+    assert info.value is error or info.value.__cause__ is error
 
 
 def test_selfadjointness(state_near_p4, rng):

@@ -126,9 +126,6 @@ def test_picture_independence(shot3d_p4):
         def apply_lin(self, coeffs):
             return self.grid.apply_operator(coeffs, 1.0, self.mu, 1.0, 1.0)
 
-        def quadform_lin(self, coeffs):
-            return self.grid.quadform(coeffs, 1.0, self.mu, 1.0, 1.0)
-
         def precond_diag(self):
             g = self.grid
             return (g.diagonal(g.Mz // 2 + 1, 1.0, 1.0, 1.0)
