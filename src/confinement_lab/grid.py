@@ -182,13 +182,15 @@ class Discretization:
         return kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :ncols] ** 2 + const
 
     def apply_operator(self, coeffs: np.ndarray, kin_y: float, trap: float,
-                       kin_z: float, const: float) -> np.ndarray:
+                       kin_z: float, const: float,
+                       diag: np.ndarray | None = None) -> np.ndarray:
         """Apply kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const.
 
         Diagonal when trap == kin_y * omega^2; otherwise the radial part
-        picks up the symmetric tridiagonal matrix of |y|^2.
+        picks up the symmetric tridiagonal matrix of |y|^2.  diag, if given,
+        is this operator's diagonal(coeffs.shape[-1], kin_y, kin_z, const).
         """
-        out = self.diagonal(coeffs.shape[-1], kin_y, kin_z, const) * coeffs
+        out = (self.diagonal(coeffs.shape[-1], kin_y, kin_z, const) if diag is None else diag) * coeffs
         gamma = self.tridiag_coef(kin_y, trap)
         if gamma != 0.0:
             out += gamma * self._x1_mult(coeffs)

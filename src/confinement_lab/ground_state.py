@@ -64,32 +64,25 @@ class StationaryProblem:
     lam: float
 
     @cached_property
-    def _even_diag(self) -> np.ndarray:
-        return self.grid.diagonal(self.grid.Mz // 2 + 1, 1.0, 1.0, -self.lam)
+    def _diag(self) -> dict[int, np.ndarray]:
+        """The linear part's diagonal by axial column count (full, even sector)."""
+        g = self.grid
+        return {m: g.diagonal(m, 1.0, 1.0, -self.lam) for m in (g.Mz, g.Mz // 2 + 1)}
 
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
-        g = self.grid
-        if coeffs.shape[-1] != g.Mz // 2 + 1:     # a full-grid array
-            return g.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam)
-        out = self._even_diag * coeffs
-        gamma = g.tridiag_coef(1.0, 1.0)
-        if gamma != 0.0:
-            out += gamma * g._x1_mult(coeffs)
-        return out
+        return self.grid.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam,
+                                        diag=self._diag[coeffs.shape[-1]])
 
     def quadform_lin(self, coeffs: np.ndarray) -> float:
         return float(np.real(np.sum(np.conj(coeffs) * self.apply_lin(coeffs))))
 
     def precond_diag(self) -> np.ndarray:
         g = self.grid
-        d = self._even_diag + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None]
+        d = self._diag[g.Mz // 2 + 1] + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None]
         return np.maximum(d, 1e-6)
 
-    def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.to_even(np.abs(values) ** (self.p - 2.0) * values)
-
     def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.apply_lin(coeffs) - self.nonlinear_coeffs(values)
+        return self.apply_lin(coeffs) - self.grid.to_even(np.abs(values) ** (self.p - 2.0) * values)
 
     def lp_integral(self, values: np.ndarray) -> float:
         return float(self.grid.quad_even(np.abs(values) ** self.p))
@@ -491,8 +484,7 @@ def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
         except (np.linalg.LinAlgError, ValueError, ArpackError) as exc:
             raise EigsNotConverged(str(exc)) from exc
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     out = []
     for i in range(n):
         f = Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)), real=True, even_z=True)
