@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import ifft
 
 from .core import Field, ModelParams
 from .errors import ShapeMismatch, StepTooLarge
@@ -254,7 +253,7 @@ def orbital_distance_data(psi: Field, ref: dict) -> float:
     pc = psi.coeffs
     b = np.sum(hw * pc * np.conj(uc), axis=0)
     # big[j] = B(z_j): sum_m b_m e^{i xi_m z} on every node at once
-    big = ifft(g.phase * b) * g.Mz
+    big = np.fft.ifft(g.phase * b) * g.Mz
     j0 = int(np.argmax(np.abs(big)))
 
     # |B| is flat to O(dz^2) at its peak, so comparing values would leave z0

@@ -10,7 +10,9 @@ orthonormal in L^2(R^2).  The free axis z lives on a periodic box
 [-Lz, Lz) with the orthonormal Fourier basis exp(i xi_m z) / sqrt(2 Lz),
 xi_m = pi m / Lz.  Radial quadrature is Gauss-Laguerre in t = omega r^2,
 oversampled relative to the mode count so that products of basis
-functions (and mild nonlinearities) integrate accurately.
+functions (and mild nonlinearities) integrate accurately.  Full-grid
+fields go through numpy's FFT; real, even-in-z fields through a DCT-I on
+the half grid, applied as one dense (Mz/2+1)^2 GEMM, so numpy suffices.
 
 With omega = 1 the physical trap operator -Delta_y + |y|^2 is diagonal
 (multiplier 4k + 2) and the planar ground mode is exactly the first
@@ -25,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, fft, ifft
-from scipy.linalg import cholesky, eigh_tridiagonal, solve_triangular
 
 from .errors import GramCheckFailed, ShapeMismatch
 
@@ -37,25 +37,6 @@ GRAM_TOL = 1e-10
 DEFAULT_K = 48
 DEFAULT_MZ = 256
 DEFAULT_LZ = 24.0
-
-
-def gauss_laguerre_scaled(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes t_i and scaled weights w_i * exp(t_i).
-
-    Weights are computed entirely through exponentially scaled Laguerre
-    polynomials l_k(t) = L_k(t) exp(-t/2), so no overflow/underflow
-    occurs even for large n.
-    """
-    k = np.arange(n)
-    nodes = eigh_tridiagonal(2.0 * k + 1.0, np.arange(1, n, dtype=float), eigvals_only=True)
-    t = nodes
-    # w_i = t_i / ((n+1)^2 L_{n+1}(t_i)^2)  =>  w_i e^{t_i} = t_i / ((n+1)^2 l_{n+1}(t_i)^2)
-    lkm1 = np.exp(-t / 2.0)
-    lk = (1.0 - t) * lkm1
-    for j in range(1, n + 1):
-        lkm1, lk = lk, ((2.0 * j + 1.0 - t) * lk - j * lkm1) / (j + 1.0)
-    wbar = t / ((n + 1.0) ** 2 * lk**2)
-    return t, wbar
 
 
 def scaled_laguerre(t: np.ndarray, K: int) -> np.ndarray:
@@ -103,6 +84,7 @@ class Discretization:
     sqrt_wz: np.ndarray = field(repr=False, default=None)
     _x1_diag: np.ndarray = field(repr=False, default=None)
     _x1_off: np.ndarray = field(repr=False, default=None)
+    _x1: np.ndarray = field(repr=False, default=None)     # dense (K, K) |y|^2 matrix
 
     # -- transforms ---------------------------------------------------------
 
@@ -110,7 +92,8 @@ class Discretization:
         """Nodal samples (nr, Mz) -> spectral coefficients (K, Mz)."""
         if values.shape != (self.nr, self.Mz):
             raise ShapeMismatch(f"values shape {values.shape} != {(self.nr, self.Mz)}")
-        out = fft(_real_matmul(self.proj, values), axis=1, overwrite_x=True)
+        out = _real_matmul(self.proj, values).astype(complex, copy=False)
+        np.fft.fft(out, axis=1, out=out)
         out *= (np.sqrt(2.0 * self.Lz) / self.Mz) * self.phase
         return out
 
@@ -118,7 +101,8 @@ class Discretization:
         """Spectral coefficients (K, Mz) -> nodal samples (nr, Mz), complex."""
         if coeffs.shape != (self.K, self.Mz):
             raise ShapeMismatch(f"coeffs shape {coeffs.shape} != {(self.K, self.Mz)}")
-        axial = ifft(self.phase * coeffs, axis=1, overwrite_x=True)
+        axial = np.multiply(self.phase, coeffs, dtype=complex)
+        np.fft.ifft(axial, axis=1, out=axial)
         axial *= self.Mz / np.sqrt(2.0 * self.Lz)
         return _real_matmul(self.phi, axial)
 
@@ -135,14 +119,15 @@ class Discretization:
 
     def to_even(self, values: np.ndarray) -> np.ndarray:
         """Half-grid nodal samples -> sqrt(w)-weighted even coefficients."""
-        out = dct(self.proj @ values, type=1, axis=-1, overwrite_x=True)
-        out *= (self.dz / np.sqrt(2.0 * self.Lz)) * self.sqrt_wz
+        out = (self.proj @ values) @ _even_dct(self.Mz)[0]
+        out *= np.sqrt(2.0 * self.Lz) / self.Mz
         return out
 
     def from_even(self, coeffs: np.ndarray) -> np.ndarray:
         """sqrt(w)-weighted even coefficients -> half-grid nodal samples."""
-        axial = coeffs / (self.sqrt_wz * np.sqrt(2.0 * self.Lz))
-        return self.phi @ dct(axial, type=1, axis=-1, overwrite_x=True)
+        axial = coeffs @ _even_dct(self.Mz)[1]
+        axial *= 1.0 / np.sqrt(2.0 * self.Lz)
+        return self.phi @ axial
 
     def quad_even(self, values: np.ndarray) -> float | np.ndarray:
         """Integral over R^3 of an even function sampled on the half grid."""
@@ -197,11 +182,8 @@ class Discretization:
         return out
 
     def _x1_mult(self, coeffs: np.ndarray) -> np.ndarray:
-        """Multiply by the (tridiagonal) matrix of |y|^2 in this basis."""
-        out = self._x1_diag[:, None] * coeffs
-        out[..., :-1, :] += self._x1_off[:, None] * coeffs[..., 1:, :]
-        out[..., 1:, :] += self._x1_off[:, None] * coeffs[..., :-1, :]
-        return out
+        """Multiply by the tridiagonal |y|^2 matrix: one dense real GEMM."""
+        return _real_matmul(self._x1, coeffs)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -239,7 +221,7 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
 
     Requires K >= 4, even Mz >= 8, Lz > 0.  The radial rule uses
     oversample*K Gauss-Laguerre nodes so that basis products integrate
-    exactly and pointwise nonlinearities alias weakly.
+    exactly and pointwise nonlinearities alias weakly (_radial_rule).
     """
     if K < 4:
         raise ValueError(f"K={K} below minimum mode count 4")
@@ -251,35 +233,14 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
         raise ValueError("omega must be positive")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    # oversample=1 gives a square (unitary) transform: K Gauss-Laguerre
-    # nodes still integrate basis products exactly, and nodal <-> spectral
-    # becomes a bijection, which the time integrator needs for exact mass
-    # conservation; larger factors suppress nonlinear aliasing instead.
-    nr = oversample * K
-    t, wbar = gauss_laguerre_scaled(nr)
+    # oversample=1 gives a square (unitary) transform, a bijection nodal <->
+    # spectral that the time integrator needs for exact mass conservation (K
+    # nodes still integrate basis products exactly); more suppresses aliasing.
+    t, wbar, q = _radial_rule(K, oversample)
     r = np.sqrt(t / omega)
     wrad = (np.pi / omega) * wbar
-    phi = scaled_laguerre(t, K) * np.sqrt(omega / np.pi)
-    proj = (wrad[:, None] * phi).T
-
-    gram = proj @ phi
-    dev = float(np.abs(gram - np.eye(K)).max())
-    if dev > GRAM_TOL:
-        raise GramCheckFailed(dev, GRAM_TOL)
-    # polish the ~1e-12 node/weight roundoff out of the basis in sqrt(w)
-    # form: Q = sqrt(w) phi gets orthonormal columns, and both transforms
-    # are derived from it, phi = Q / sqrt(w) and proj = (sqrt(w) Q)^T.
-    # One Cholesky pass on the w-weighted Gram of phi, with proj formed
-    # afterwards, leaves a fixed error in the low-mode block that every
-    # time step applies again (a steady mass bias of ~1e-15 per step);
-    # a second pass on Q removes what the first one leaves behind.
-    sw = np.sqrt(wrad)
-    q = sw[:, None] * phi
-    for _ in range(2):
-        rchol = cholesky(q.T @ q)
-        q = solve_triangular(rchol, q.T, trans="T", lower=False).T
-    phi = q / sw[:, None]
-    proj = (sw[:, None] * q).T
+    sw = np.sqrt(wrad)[:, None]
+    phi, proj = q / sw, (sw * q).T
 
     dz = 2.0 * Lz / Mz
     z = -Lz + dz * np.arange(Mz)
@@ -293,10 +254,49 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
     k = np.arange(K, dtype=float)
     x1_diag = (2.0 * k + 1.0) / omega
     x1_off = -(k[:-1] + 1.0) / omega
+    x1 = np.diag(x1_diag) + np.diag(x1_off, 1) + np.diag(x1_off, -1)
 
-    for arr in (t, r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1_diag, x1_off):
+    for arr in (r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1_diag, x1_off, x1):
         arr.setflags(write=False)
-    return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=nr, t=t, r=r,
+    return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=K * oversample, t=t, r=r,
                           wrad=wrad, z=z, dz=dz, xi=xi, osc_eigs=osc, phi=phi,
                           proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz,
-                          _x1_diag=x1_diag, _x1_off=x1_off)
+                          _x1_diag=x1_diag, _x1_off=x1_off, _x1=x1)
+
+
+@lru_cache(maxsize=8)
+def _radial_rule(K: int, oversample: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes t (n = oversample*K), scaled weights wbar = w e^t and
+    the polished Q = sqrt(wbar) l_k(t), k < K, all through l_k(t) = L_k(t) e^{-t/2}
+    so nothing overflows.  Q is sqrt(wrad) phi at every omega: build rescales it."""
+    n = oversample * K
+    # the symmetric tridiagonal Jacobi matrix; eigvalsh reads its lower triangle
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
+    lag = scaled_laguerre(t, n + 2)
+    # w_i = t_i / ((n+1)^2 L_{n+1}(t_i)^2)  =>  w_i e^{t_i} = t_i / ((n+1)^2 l_{n+1}(t_i)^2)
+    wbar = t / ((n + 1.0) ** 2 * lag[:, n + 1] ** 2)
+    q = np.sqrt(wbar)[:, None] * lag[:, :K]
+    dev = float(np.abs(q.T @ q - np.eye(K)).max())
+    if dev > GRAM_TOL:
+        raise GramCheckFailed(dev, GRAM_TOL)
+    # polish the ~1e-12 roundoff out of Q, from which both transforms derive:
+    # polishing phi alone leaves a low-mode error that every time step applies
+    # again (a mass bias of ~1e-15 per step); a second pass removes the rest.
+    for _ in range(2):
+        q = np.linalg.solve(np.linalg.cholesky(q.T @ q), q.T).T
+    t.flags.writeable = wbar.flags.writeable = q.flags.writeable = False
+    return t, wbar, q
+
+
+@lru_cache(maxsize=8)
+def _even_dct(Mz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even sector's DCT-I, sqrt(w) weights folded in, shared by every
+    grid with this Mz: to_even is (proj values) @ fwd * sqrt(2 Lz)/Mz and
+    from_even is phi (coeffs @ inv) / sqrt(2 Lz)."""
+    h, j = Mz // 2, np.arange(Mz // 2 + 1)
+    wz = np.r_[1.0, np.full(h - 1, 2.0), 1.0]
+    # cos(pi j k / h) with j k reduced mod 2h first, so cos sees |arg| <= 2 pi
+    inv = np.sqrt(wz)[:, None] * np.cos(np.pi / h * (np.outer(j, j) % (2 * h)))
+    fwd = np.ascontiguousarray(wz[:, None] * inv.T)
+    fwd.flags.writeable = inv.flags.writeable = False
+    return fwd, inv

@@ -16,15 +16,17 @@ Hessian (applied in blocks by the in-repo LOBPCG) and the linearized
 solves all live on the grid's real even-in-z representation
 (Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
 axial translation invariance; results are expanded to the full grid once.
+MINRES and LOBPCG are in-repo; this module loads scipy only for ARPACK (eigsh).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
 from .core import Field, ModelParams
 from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
@@ -126,7 +128,17 @@ def _project(problem, coeffs):
     return t * coeffs, t * values
 
 
-def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> LinearOperator:
+@dataclass(frozen=True)
+class Operator:
+    """Linear map on (n,) or (n, k) arrays; what minres, lobpcg and eigsh read."""
+
+    shape: tuple[int, int]
+    matvec: Callable[[np.ndarray], np.ndarray]
+    matmat: Callable[[np.ndarray], np.ndarray]
+    dtype = np.dtype(float)
+
+
+def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> Operator:
     """Hessian on flattened even-sector coefficients; the block product
     applies all columns with one transform pair."""
     g = problem.grid
@@ -139,18 +151,65 @@ def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> LinearOpe
         nodal *= w
         out = problem.apply_lin(c)
         out -= g.to_even(nodal)
-        return out.reshape(-1, n).T
+        return out.reshape(-1, n).T.reshape(x.shape)
 
-    return LinearOperator((n, n), matvec=mm, matmat=mm, dtype=float)
+    return Operator((n, n), mm, mm)
 
 
-def _sector_precond(problem: StationaryProblem) -> LinearOperator:
+def _sector_precond(problem: StationaryProblem) -> Operator:
     dv = problem.precond_diag().reshape(-1, 1)
 
     def mm(x):
         return (x.reshape(dv.size, -1) / dv).reshape(x.shape)
 
-    return LinearOperator((dv.size, dv.size), matvec=mm, matmat=mm, dtype=float)
+    return Operator((dv.size, dv.size), mm, mm)
+
+
+def minres(A: Operator, b: np.ndarray, M: Operator, rtol: float, maxiter: int,
+           callback=None) -> tuple[np.ndarray, int]:
+    """Solve the symmetric, possibly indefinite A x = b from x = 0 by MINRES
+    (Paige & Saunders 1975), M a positive definite approximation of A^{-1}.
+    Recurrences and stopping tests are scipy's (its 1 + t <= 1 is t <= eps/2).
+    callback(x) runs once per iteration; info is 0, or maxiter if unconverged."""
+    eps = np.finfo(float).eps
+    x = w = w2 = np.zeros(b.shape[0])
+    r1, r2, y = 0.0, b, M.matvec(b)     # no Lanczos vector precedes the first
+    # math.sqrt raises ValueError on a negative r^T M r: M or A is not symmetric
+    beta1 = beta = oldb = phibar = math.sqrt(float(b @ y))
+    if beta1 == 0.0:
+        return x, 0
+    dbar = epsln = tnorm2 = gmax = sn = 0.0
+    gmin, cs = np.inf, -1.0
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = A.matvec(v) - (beta / oldb) * r1
+        alfa = float(v @ y)
+        r1, r2 = r2, y - (alfa / beta) * r2
+        y = M.matvec(r2)
+        oldb, beta = beta, math.sqrt(float(r2 @ y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
+        root, gamma = math.hypot(gbar, dbar), max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w, w2 = (v - oldeps * w2 - delta * w) * (1.0 / gamma), w
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm, ynorm = math.sqrt(tnorm2), float(np.linalg.norm(x))   # anorm >= beta1 > 0
+        test1 = phibar / (anorm * ynorm) if ynorm > 0.0 else np.inf  # ||r|| / (||A|| ||x||)
+        if callback is not None:
+            callback(x)
+        if (min(test1, root / anorm) <= max(rtol, 0.5 * eps) or gmax / gmin >= 0.1 / eps
+                or anorm * ynorm * eps >= beta1 or (itn == 1 and beta <= 10.0 * eps * beta1)):
+            return x, 0
+    return x, maxiter
+
+
+def eigsh(A: Operator, *args, **kwargs):
+    """ARPACK's Lanczos (scipy.sparse.linalg.eigsh), imported when called."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+    return arpack_eigsh(A, *args, **kwargs)
 
 
 def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
@@ -408,7 +467,7 @@ class LinearizedOperator:
         out = out - prob.grid.to_coeffs(w * f.values)
         return Field(prob.grid, coeffs=out, real=f.real, even_z=f.even_z)
 
-    def sector_operator(self) -> LinearOperator:
+    def sector_operator(self) -> Operator:
         """Restriction to the even sector, on flattened even coefficients."""
         return _sector_hessian(self.problem, self.problem.grid.half_values(self.base_values))
 
@@ -424,7 +483,7 @@ def _orthonormalize(Q: np.ndarray, start: int, stop: int) -> None:
             Q[:, j] /= norm
 
 
-def lobpcg(A: LinearOperator, X: np.ndarray, M: LinearOperator,
+def lobpcg(A: Operator, X: np.ndarray, M: Operator,
            tol: float = 2e-7, maxiter: int = 800) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenpairs of the symmetric A by block LOBPCG (Knyazev 2001),
     one per column of the start X: Rayleigh-Ritz on the orthonormal basis
@@ -479,6 +538,7 @@ def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
     try:
         vals, vecs = lobpcg(op, X, M=pre, tol=tol, maxiter=maxiter)
     except (EigsNotConverged, np.linalg.LinAlgError):
+        from scipy.sparse.linalg import ArpackError
         try:
             vals, vecs = eigsh(op, k=n, which="SA", tol=1e-9, maxiter=5000)
         except (np.linalg.LinAlgError, ValueError, ArpackError) as exc:

@@ -21,12 +21,12 @@ changes sign linearly there (about ten integrations; bisection took fifty).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .core import Field, ModelParams
 from .errors import BisectionStalled, RegimeMismatch
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 def sech_power_integral(s: float) -> float:
     """int_R sech^s(x) dx = sqrt(pi) Gamma(s/2) / Gamma((s+1)/2)."""
-    return float(np.sqrt(np.pi) * gamma_fn(s / 2.0) / gamma_fn((s + 1.0) / 2.0))
+    return math.sqrt(math.pi) * math.gamma(s / 2.0) / math.gamma((s + 1.0) / 2.0)
 
 
 def _check_p(p: float) -> None:

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import confinement_lab
 
 from confinement_lab.cli import main
 from confinement_lab.core import load_field
@@ -89,3 +94,35 @@ def test_jobs_env_fallback(monkeypatch):
     assert args.jobs == 3
     args = build_parser().parse_args(["solve", "--lambda", "1.5", "--jobs", "2"])
     assert args.jobs == 2
+
+
+SCIPY_BLOCKED = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import confinement_lab
+from confinement_lab import cli
+out, tiny = sys.argv[1], ["--p", "4", "--K", "16", "--Mz", "64", "--Lz", "8"]
+print(cli.main(["solve", *tiny, "--lambda", "1.0", "--outdir", out + "/solve"]),
+      cli.main(["evolve", *tiny, "--lambda", "1.8", "--perturbation", "0.01",
+                "--T", "0.1", "--outdir", out + "/evolve"]))
+"""
+
+
+def test_solve_and_evolve_run_without_scipy(tmp_path):
+    """Importing the package, and the solve and evolve commands at lambda >= 0
+    (no far-end shooting start), need numpy alone: scipy is refused by an
+    import hook in a fresh interpreter."""
+    src = str(Path(confinement_lab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path)],
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-2:] == ["0", "0"]
+    assert (tmp_path / "solve" / "result.json").is_file()
+    assert (tmp_path / "evolve" / "trace.csv").is_file()

@@ -284,6 +284,66 @@ def test_failed_fallback_raises(tiny_lin, monkeypatch, error, raised):
     assert info.value is error or info.value.__cause__ is error
 
 
+# -- MINRES ----------------------------------------------------------------------
+
+def test_minres_matches_dense_solve(tiny_lin):
+    """The in-repo MINRES solves the densified sector system, indefinite at
+    the two ground states, to the dense solution; the callback sees every
+    iterate, one per Hessian apply, and the last one is the returned x."""
+    op = tiny_lin.sector_operator()
+    pre = ground_state._sector_precond(tiny_lin.problem)
+    b = np.random.default_rng(2).standard_normal(op.shape[0])
+    applies, iterates = [], []
+
+    def counted(x):
+        applies.append(1)
+        return op.matvec(x)
+
+    A = ground_state.Operator(op.shape, counted, op.matmat)
+    x, info = ground_state.minres(A, b, M=pre, rtol=1e-13, maxiter=500,
+                                  callback=iterates.append)
+    ref = np.linalg.solve(op.matmat(np.eye(op.shape[0])), b)
+    assert info == 0
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert 0 < len(iterates) == len(applies) < 500
+    assert iterates[-1] is x
+
+
+def test_minres_reports_iteration_limit(tiny_lin):
+    """An unconverged solve returns info == maxiter (the preconditioner is the
+    identity: the diagonal one inverts the free operator in one step); a
+    zero right-hand side returns x = 0 at once."""
+    op = tiny_lin.sector_operator()
+    pre = ground_state.Operator(op.shape, np.copy, np.copy)
+    b = np.ones(op.shape[0])
+    x, info = ground_state.minres(op, b, M=pre, rtol=1e-13, maxiter=1)
+    assert info == 1 and np.isfinite(x).all()
+    x, info = ground_state.minres(op, np.zeros_like(b), M=pre, rtol=1e-13, maxiter=1)
+    assert info == 0 and not x.any()
+
+
+def test_minres_matches_scipy_on_solve_chi_system(state_mid_p4):
+    """On the default-grid system of solve_chi, the iteration count and the
+    solution agree with scipy's MINRES, whose recurrences it follows."""
+    from scipy.sparse.linalg import minres as scipy_minres
+    lin = LinearizedOperator.at(state_mid_p4)
+    g = state_mid_p4.u.grid
+    op, pre = lin.sector_operator(), ground_state._sector_precond(state_mid_p4.problem)
+    rhs = g.reduce_even(state_mid_p4.u.coeffs).ravel()
+    counts = {"ours": 0, "scipy": 0}
+
+    def counter(key):
+        return lambda x: counts.__setitem__(key, counts[key] + 1)
+
+    x, info = ground_state.minres(op, rhs, M=pre, rtol=1e-10, maxiter=3000,
+                                  callback=counter("ours"))
+    ref, ref_info = scipy_minres(op, rhs, M=pre, rtol=1e-10, maxiter=3000,
+                                 callback=counter("scipy"))
+    assert info == ref_info == 0
+    assert abs(counts["ours"] - counts["scipy"]) <= 1 and counts["ours"] > 5
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_selfadjointness(state_near_p4, rng):
     lin = LinearizedOperator.at(state_near_p4)
     g = state_near_p4.u.grid
