@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -40,8 +39,7 @@ def _add_common(sp):
     sp.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--outdir", type=Path, default=Path("out"))
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("CONFINEMENT_LAB_JOBS", "1")))
+    sp.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,19 +60,18 @@ class Field:
     (for linear operators) are computed lazily from one another and cached;
     instances are treated as immutable, so every transformation returns a
     new Field.  Symmetry flags: `real`, `even_z` (reflection symmetry in
-    the free axis), `positive` (set after an explicit check).
+    the free axis).
     """
 
-    __slots__ = ("grid", "real", "even_z", "positive", "_values", "_coeffs")
+    __slots__ = ("grid", "real", "even_z", "_values", "_coeffs")
 
     def __init__(self, grid: Discretization, values=None, coeffs=None,
-                 real: bool = True, even_z: bool = False, positive: bool = False):
+                 real: bool = True, even_z: bool = False):
         if values is None and coeffs is None:
             raise ValueError("Field needs values or coeffs")
         self.grid = grid
         self.real = real
         self.even_z = even_z
-        self.positive = positive
         if values is not None:
             values = np.asarray(values)
             if values.shape != (grid.nr, grid.Mz):
@@ -145,8 +144,7 @@ class Field:
         """Project onto the even-in-z sector (idempotent, exact on the grid)."""
         jr = self.grid.even_reflection_index()
         vals = 0.5 * (self.values + self.values[:, jr])
-        return Field(self.grid, values=vals, real=self.real, even_z=True,
-                     positive=self.positive)
+        return Field(self.grid, values=vals, real=self.real, even_z=True)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))

@@ -162,7 +162,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     p = params.p
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
-    lin_phase = np.exp(-1j * dt * (g.osc_eigs[:, None] + g.xi[None, :] ** 2))
+    lin_phase = np.exp(-1j * dt * g.lin_diag(g.Mz, 0.0))
 
     ref_data = _reference_data(reference) if reference is not None else None
 
@@ -228,7 +228,9 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
 
 def _reference_data(u: Field) -> dict:
     g = u.grid
-    hw = g.h_weights()
+    if g.omega != 1.0:
+        raise ShapeMismatch("H weights are diagonal only on unit-frequency grids")
+    hw = g.lin_diag(g.Mz, 1.0)
     uc = u.coeffs
     qu = quadratic_parts(u)
     h_norm_sq = qu["kin_y"] + qu["kin_z"] + qu["trap"] + qu["l2"]
@@ -279,7 +281,7 @@ def orbital_distance_data(psi: Field, ref: dict) -> float:
     return float(np.sqrt(d2 / ref["h_norm_sq"]))
 
 
-def orbital_distance(psi: Field, u: Field, params: ModelParams | None = None) -> float:
+def orbital_distance(psi: Field, u: Field) -> float:
     """Relative H-distance from psi to the phase/translation orbit of u."""
     if not psi.grid.compatible(u.grid):
         raise ShapeMismatch("fields on different grids")

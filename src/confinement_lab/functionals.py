@@ -70,7 +70,7 @@ def action(u: Field, params: ModelParams) -> float:
 def gradient(u: Field, params: ModelParams) -> Field:
     """L^2 gradient of the action: (-Delta + |y|^2 - lambda) u - |u|^{p-2} u."""
     g = u.grid
-    lin = g.apply_operator(u.coeffs, kin_y=1.0, trap=1.0, kin_z=1.0, const=-params.lam)
+    lin = g.apply_lin(u.coeffs, -params.lam)
     vals = u.values
     nl = g.to_coeffs((np.abs(vals) ** (params.p - 2.0) * vals).astype(complex))
     return Field(g, coeffs=lin - nl, real=u.real, even_z=u.even_z)

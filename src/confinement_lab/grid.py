@@ -14,11 +14,12 @@ functions (and mild nonlinearities) integrate accurately.  Full-grid
 fields go through numpy's FFT; real, even-in-z fields through a DCT-I on
 the half grid, applied as one dense (Mz/2+1)^2 GEMM, so numpy suffices.
 
-With omega = 1 the physical trap operator -Delta_y + |y|^2 is diagonal
-(multiplier 4k + 2) and the planar ground mode is exactly the first
-basis function.  For omega != 1 the same operator is symmetric
-tridiagonal in the mode index; this is used to represent fields whose
-radial scale is far from the trap scale.
+The grid applies the model's linear part -Delta + |y|^2 + c (lin_diag,
+apply_lin).  In this basis it is diag(osc_eigs) + xi^2 + c +
+(1 - omega^2) X, with X the symmetric tridiagonal matrix of |y|^2 in the
+mode index: diagonal at omega = 1, where the planar ground mode is
+exactly the first basis function, and tridiagonal on the grids that
+represent fields whose radial scale is far from the trap scale.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ class Discretization:
     phase: np.ndarray = field(repr=False, default=None)
     wz: np.ndarray = field(repr=False, default=None)      # even-sector weights (1, 2, ..., 2, 1)
     sqrt_wz: np.ndarray = field(repr=False, default=None)
-    _x1_diag: np.ndarray = field(repr=False, default=None)
-    _x1_off: np.ndarray = field(repr=False, default=None)
     _x1: np.ndarray = field(repr=False, default=None)     # dense (K, K) |y|^2 matrix
 
     # -- transforms ---------------------------------------------------------
@@ -155,30 +154,19 @@ class Discretization:
 
     # -- linear operators ---------------------------------------------------
 
-    def tridiag_coef(self, a: float, b_trap: float) -> float:
-        """Coupling strength of a*(-Delta_y) + b_trap*|y|^2 onto the stored
-        |y|^2 tridiagonal: a*(-Delta_y) + b_trap*|y|^2
-        = a*diag(osc_eigs) + (b_trap - a*omega^2) * X."""
-        return b_trap - a * self.omega**2
+    def lin_diag(self, ncols: int, const: float) -> np.ndarray:
+        """osc_eigs + xi^2 + const on Mz (full) or Mz/2+1 (even sector: |xi|
+        of the first Mz/2+1 FFT-order modes) axial columns."""
+        return self.osc_eigs[:, None] + self.xi[None, :ncols] ** 2 + const
 
-    def diagonal(self, ncols: int, kin_y: float, kin_z: float, const: float) -> np.ndarray:
-        """kin_y*osc_eigs + kin_z*xi^2 + const on Mz (full) or Mz/2+1 (even
-        sector: |xi| of the first Mz/2+1 FFT-order modes) axial columns."""
-        return kin_y * self.osc_eigs[:, None] + kin_z * self.xi[None, :ncols] ** 2 + const
-
-    def apply_operator(self, coeffs: np.ndarray, kin_y: float, trap: float,
-                       kin_z: float, const: float,
-                       diag: np.ndarray | None = None) -> np.ndarray:
-        """Apply kin_y*(-Delta_y) + trap*|y|^2 + kin_z*(-d_zz) + const.
-
-        Diagonal when trap == kin_y * omega^2; otherwise the radial part
-        picks up the symmetric tridiagonal matrix of |y|^2.  diag, if given,
-        is this operator's diagonal(coeffs.shape[-1], kin_y, kin_z, const).
-        """
-        out = (self.diagonal(coeffs.shape[-1], kin_y, kin_z, const) if diag is None else diag) * coeffs
-        gamma = self.tridiag_coef(kin_y, trap)
-        if gamma != 0.0:
-            out += gamma * self._x1_mult(coeffs)
+    def apply_lin(self, coeffs: np.ndarray, const: float,
+                  diag: np.ndarray | None = None) -> np.ndarray:
+        """Apply -Delta + |y|^2 + const: diag(osc_eigs) + xi^2 + const, plus
+        (1 - omega^2) X off the unit frequency.  diag, if given, is
+        lin_diag(coeffs.shape[-1], const)."""
+        out = (self.lin_diag(coeffs.shape[-1], const) if diag is None else diag) * coeffs
+        if self.omega != 1.0:
+            out += (1.0 - self.omega**2) * self._x1_mult(coeffs)
         return out
 
     def _x1_mult(self, coeffs: np.ndarray) -> np.ndarray:
@@ -202,12 +190,6 @@ class Discretization:
         """Node permutation j -> j' realizing z -> -z on the periodic grid."""
         j = np.arange(self.Mz)
         return (self.Mz - j) % self.Mz
-
-    def h_weights(self) -> np.ndarray:
-        """Diagonal weights of the trap-weighted H inner product (omega == 1)."""
-        if self.omega != 1.0:
-            raise ShapeMismatch("H weights are diagonal only on unit-frequency grids")
-        return self.diagonal(self.Mz, 1.0, 1.0, 1.0)
 
     def compatible(self, other: "Discretization") -> bool:
         return (self.K == other.K and self.Mz == other.Mz
@@ -252,16 +234,14 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
     sqrt_wz = np.sqrt(wz)
 
     k = np.arange(K, dtype=float)
-    x1_diag = (2.0 * k + 1.0) / omega
     x1_off = -(k[:-1] + 1.0) / omega
-    x1 = np.diag(x1_diag) + np.diag(x1_off, 1) + np.diag(x1_off, -1)
+    x1 = np.diag((2.0 * k + 1.0) / omega) + np.diag(x1_off, 1) + np.diag(x1_off, -1)
 
-    for arr in (r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1_diag, x1_off, x1):
+    for arr in (r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1):
         arr.setflags(write=False)
     return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=K * oversample, t=t, r=r,
                           wrad=wrad, z=z, dz=dz, xi=xi, osc_eigs=osc, phi=phi,
-                          proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz,
-                          _x1_diag=x1_diag, _x1_off=x1_off, _x1=x1)
+                          proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz, _x1=x1)
 
 
 @lru_cache(maxsize=8)

@@ -69,18 +69,17 @@ class StationaryProblem:
     def _diag(self) -> dict[int, np.ndarray]:
         """The linear part's diagonal by axial column count (full, even sector)."""
         g = self.grid
-        return {m: g.diagonal(m, 1.0, 1.0, -self.lam) for m in (g.Mz, g.Mz // 2 + 1)}
+        return {m: g.lin_diag(m, -self.lam) for m in (g.Mz, g.Mz // 2 + 1)}
 
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.grid.apply_operator(coeffs, 1.0, 1.0, 1.0, -self.lam,
-                                        diag=self._diag[coeffs.shape[-1]])
+        return self.grid.apply_lin(coeffs, -self.lam, diag=self._diag[coeffs.shape[-1]])
 
     def quadform_lin(self, coeffs: np.ndarray) -> float:
         return float(np.real(np.sum(np.conj(coeffs) * self.apply_lin(coeffs))))
 
     def precond_diag(self) -> np.ndarray:
         g = self.grid
-        d = self._diag[g.Mz // 2 + 1] + g.tridiag_coef(1.0, 1.0) * g._x1_diag[:, None]
+        d = self._diag[g.Mz // 2 + 1] + (1.0 - g.omega**2) * np.diag(g._x1)[:, None]
         return np.maximum(d, 1e-6)
 
     def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -91,10 +90,6 @@ class StationaryProblem:
 
     def action_value(self, coeffs: np.ndarray, values: np.ndarray) -> float:
         return 0.5 * self.quadform_lin(coeffs) - self.lp_integral(values) / self.p
-
-
-def problem_physical(params: ModelParams, grid: Discretization) -> StationaryProblem:
-    return StationaryProblem(grid=grid, p=params.p, lam=params.lam)
 
 
 # -- core iteration --------------------------------------------------------------
@@ -331,7 +326,7 @@ class GroundStateResult:
 
 def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     """Scale any field u onto the Nehari set of the physical problem at params."""
-    prob = problem_physical(params, u.grid)
+    prob = StationaryProblem(u.grid, params.p, params.lam)
     lp = float(u.grid.quad(np.abs(u.values) ** prob.p))
     t = nehari_scale_t(prob, prob.quadform_lin(u.coeffs), lp)
     return t, t * u
@@ -356,20 +351,25 @@ def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Disc
                  omega=omega, oversample=resolution.oversample)
 
 
-def _starts(params: ModelParams, grid: Discretization) -> dict[str, np.ndarray]:
-    """Even-sector start coefficients by name."""
-    p = params.p
-    out = {}
+def _starts(params: ModelParams, grid: Discretization) -> dict[str, Callable[[], np.ndarray]]:
+    """Builders of the even-sector start coefficients, by name; a start is
+    built only when it is tried."""
     z = grid.half_values(grid.z)   # only even functions of z are sampled
+
+    def reference(regime):
+        return lambda: grid.reduce_even(reference_profile(params, regime, grid).coeffs)
+
+    out = {}
     if params.tau < 1.0:
-        out["near"] = grid.reduce_even(reference_profile(params, "near", grid).coeffs)
+        out["near"] = reference("near")
     elif params.lam > FAR_SWITCH:
-        sol = soliton_1d(p)   # factorized guess without the tau-rescale
-        out["near"] = grid.to_even(np.outer(planar_ground_mode(grid), sol(z)))
+        # factorized guess without the tau-rescale
+        out["near"] = lambda: grid.to_even(np.outer(planar_ground_mode(grid),
+                                                    soliton_1d(params.p)(z)))
     if params.lam < 0:
-        out["far"] = grid.reduce_even(reference_profile(params, "far", grid).coeffs)
+        out["far"] = reference("far")
     # isotropic Gaussian at the grid's own radial scale
-    out["gaussian"] = grid.to_even(
+    out["gaussian"] = lambda: grid.to_even(
         np.exp(-grid.omega * (grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
     return out
 
@@ -388,14 +388,15 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
     """
     if grid is None:
         grid = grid_for(params, resolution)
-    prob = problem_physical(params, grid)
+    prob = StationaryProblem(grid, params.p, params.lam)
 
     if isinstance(init, Field):
         if not init.grid.compatible(grid):
             init = resample(init, grid, check_tail=False)
-        starts = [grid.reduce_even(init.coeffs)]
-        if float(np.sum(starts[0] ** 2)) < COLLAPSE_MASS:
+        c_init = grid.reduce_even(init.coeffs)
+        if float(np.sum(c_init ** 2)) < COLLAPSE_MASS:
             raise ZeroField("init field is zero after symmetrization")
+        starts = [lambda: c_init]
     elif isinstance(init, str):
         cands = _starts(params, grid)
         if init not in cands:
@@ -405,7 +406,8 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
         starts = list(_starts(params, grid).values())
 
     best = None
-    for c0 in starts:
+    for start in starts:
+        c0 = start()
         try:
             res = iterate_ground_state(prob, c0, opts)
         except (CollapsedToZero, ZeroField):
@@ -432,7 +434,7 @@ def _package_result(params: ModelParams, prob: StationaryProblem,
         raise NotConverged(res.iterations, res.grad_norm,
                            what="ground state (converged to a sign-changing state)")
     u = Field(prob.grid, values=res.values, coeffs=res.coeffs,
-              real=True, even_z=True, positive=True)
+              real=True, even_z=True)
     return GroundStateResult(u=u, params=params, action=res.action,
                              mass=float(np.sum(res.coeffs**2)),
                              gradient_norm=res.grad_norm, nehari_residual=res.nehari_residual,
@@ -457,7 +459,7 @@ class LinearizedOperator:
 
     @classmethod
     def free(cls, params: ModelParams, grid: Discretization) -> "LinearizedOperator":
-        prob = problem_physical(params, grid)
+        prob = StationaryProblem(grid, params.p, params.lam)
         return cls(problem=prob, base_values=np.zeros((grid.nr, grid.Mz)))
 
     def apply_field(self, f: Field) -> Field:

@@ -91,7 +91,7 @@ def _relabel(field: Field, omega_factor: float, z_factor: float, amplitude: floa
                 values=amplitude * field.values if field._values is not None else None,
                 coeffs=(amplitude * omega_factor**-0.5 * np.sqrt(z_factor)) * field._coeffs
                 if field._coeffs is not None else None,
-                real=field.real, even_z=field.even_z, positive=field.positive)
+                real=field.real, even_z=field.even_z)
     return out
 
 

@@ -11,18 +11,16 @@ import numpy as np
 
 from .core import LAMBDA0, ModelParams
 from .errors import NotConverged
-from .functionals import h1_distance, h_distance, report
+from .functionals import h1_distance, h_distance, quadratic_parts, report
 from .ground_state import Resolution, SolverOptions, solve_ground_state
 from .branch import (analyze_sample, default_lambda_grid, mass_sup_scan,
                      slope_prefactor_far, slope_prefactor_near, sweep)
 from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
-from .scaling import mass_factor_stretched, mass_factor_weak_trap, to_v, to_w
-from .functionals import quadratic_parts
+from .scaling import (mass_factor_stretched, mass_factor_weak_trap, scaling_report,
+                      to_v, to_w)
 
 
-def _verdict(ok: bool, undetermined: bool = False) -> str:
-    if undetermined:
-        return "undetermined"
+def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
@@ -49,7 +47,6 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
     monotone = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
     mass_ok = abs(rows[-1]["premultiplied_mass"] / prof.mass - 1.0) <= mass_rel_tol
     ok = monotone and dists[-1] <= dist_tol and mass_ok
-    from .scaling import scaling_report
     return {"check": "far_regime", "p": p, "rows": rows,
             "predicted_mass": prof.mass, "monotone_decreasing": monotone,
             "final_distance": dists[-1], "distance_tol": dist_tol,
@@ -86,7 +83,6 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     dists = [r["h_distance_rel"] for r in rows]
     monotone = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
     mass_ok = abs(rows[-1]["premultiplied_mass"] / sol.mass - 1.0) <= mass_rel_tol
-    from .scaling import scaling_report
     out = {"check": "near_regime", "p": p, "rows": rows,
            "predicted_mass": sol.mass, "monotone_decreasing": monotone,
            "final_distance": dists[-1], "distance_tol": dist_tol,
@@ -123,8 +119,7 @@ def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions(),
 
 
 def check_slopes(p: float, lam_far=-40.0, tau_near=0.05,
-                 resolution=Resolution(), opts=SolverOptions(),
-                 fd_delta=1e-3) -> dict:
+                 resolution=Resolution(), opts=SolverOptions()) -> dict:
     """Slope signs at both ends, slope estimator cross-validation, and the
     sign of the analytic tail prefactors."""
     rows = []

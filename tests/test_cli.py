@@ -88,10 +88,12 @@ def test_unknown_subcommand_is_config_error():
 
 
 def test_jobs_env_fallback(monkeypatch):
+    """--jobs is read from the command line only: the environment variable
+    the benchmark refuses does not set it."""
     from confinement_lab.cli import build_parser
     monkeypatch.setenv("CONFINEMENT_LAB_JOBS", "3")
     args = build_parser().parse_args(["solve", "--lambda", "1.5"])
-    assert args.jobs == 3
+    assert args.jobs == 1
     args = build_parser().parse_args(["solve", "--lambda", "1.5", "--jobs", "2"])
     assert args.jobs == 2
 
@@ -109,20 +111,24 @@ import confinement_lab
 from confinement_lab import cli
 out, tiny = sys.argv[1], ["--p", "4", "--K", "16", "--Mz", "64", "--Lz", "8"]
 print(cli.main(["solve", *tiny, "--lambda", "1.0", "--outdir", out + "/solve"]),
+      cli.main(["solve", *tiny, "--lambda", "-1", "--init", "gaussian",
+                "--outdir", out + "/pinned"]),
       cli.main(["evolve", *tiny, "--lambda", "1.8", "--perturbation", "0.01",
                 "--T", "0.1", "--outdir", out + "/evolve"]))
 """
 
 
 def test_solve_and_evolve_run_without_scipy(tmp_path):
-    """Importing the package, and the solve and evolve commands at lambda >= 0
-    (no far-end shooting start), need numpy alone: scipy is refused by an
-    import hook in a fresh interpreter."""
+    """Importing the package, the solve and evolve commands at lambda >= 0,
+    and a solve at lambda < 0 pinned to a start other than the far-end
+    shooting one, need numpy alone: scipy is refused by an import hook in a
+    fresh interpreter."""
     src = str(Path(confinement_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path)],
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split()[-2:] == ["0", "0"]
+    assert proc.stdout.split()[-3:] == ["0", "0", "0"]
     assert (tmp_path / "solve" / "result.json").is_file()
+    assert (tmp_path / "pinned" / "result.json").is_file()
     assert (tmp_path / "evolve" / "trace.csv").is_file()

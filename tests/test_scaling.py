@@ -124,12 +124,11 @@ def test_picture_independence(shot3d_p4):
         mu: float = 0.0
 
         def apply_lin(self, coeffs):
-            return self.grid.apply_operator(coeffs, 1.0, self.mu, 1.0, 1.0)
+            return self.grid.apply_lin(coeffs, 1.0) + (self.mu - 1.0) * self.grid._x1_mult(coeffs)
 
         def precond_diag(self):
             g = self.grid
-            return (g.diagonal(g.Mz // 2 + 1, 1.0, 1.0, 1.0)
-                    + g.tridiag_coef(1.0, self.mu) * g._x1_diag[:, None])
+            return g.lin_diag(g.Mz // 2 + 1, 1.0) + (self.mu - 1.0) * np.diag(g._x1)[:, None]
 
     lam = -8.0
     params = ModelParams(p=P, lam=lam)
