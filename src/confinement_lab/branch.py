@@ -212,13 +212,15 @@ def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
     failures: list[tuple[float, str]] = []
     warm = tangent = None
     for lam in chain:
+        # a failed solve or analysis fails that sample alone; the next one
+        # continues from the last sample that succeeded
         try:
             result = _continued_solve(p, lam, warm, tangent, resolution, opts)
+            sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
+                                    resolution=resolution, opts=opts)
         except ConfinementLabError as exc:
             failures.append((lam, repr(exc)))
             continue
-        sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
-                                resolution=resolution, opts=opts)
         warm, tangent, sample.tangent = result, sample.tangent, None
         samples.append(sample)
     return samples, failures

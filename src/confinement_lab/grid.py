@@ -19,7 +19,10 @@ apply_lin).  In this basis it is diag(osc_eigs) + xi^2 + c +
 (1 - omega^2) X, with X the symmetric tridiagonal matrix of |y|^2 in the
 mode index: diagonal at omega = 1, where the planar ground mode is
 exactly the first basis function, and tridiagonal on the grids that
-represent fields whose radial scale is far from the trap scale.
+represent fields whose radial scale is far from the trap scale.  There
+the radial block diag(osc_eigs) + (1 - omega^2) X is diagonalized once
+(radial_eig), which inverts the separable linear part exactly by fast
+diagonalization (Lynch, Rice & Thomas 1964).
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class Discretization:
     wz: np.ndarray = field(repr=False, default=None)      # even-sector weights (1, 2, ..., 2, 1)
     sqrt_wz: np.ndarray = field(repr=False, default=None)
     _x1: np.ndarray = field(repr=False, default=None)     # dense (K, K) |y|^2 matrix
+    # off omega = 1: (Lambda, S), diag(osc_eigs) + (1 - omega^2) X = S diag(Lambda) S^T
+    radial_eig: tuple | None = field(repr=False, default=None)
 
     # -- transforms ---------------------------------------------------------
 
@@ -237,11 +242,17 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
     x1_off = -(k[:-1] + 1.0) / omega
     x1 = np.diag((2.0 * k + 1.0) / omega) + np.diag(x1_off, 1) + np.diag(x1_off, -1)
 
-    for arr in (r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1):
+    arrs = [r, wrad, z, xi, phase, wz, sqrt_wz, osc, phi, proj, x1]
+    radial_eig = None
+    if omega != 1.0:
+        radial_eig = np.linalg.eigh(np.diag(osc) + (1.0 - omega**2) * x1)
+        arrs += radial_eig
+    for arr in arrs:
         arr.setflags(write=False)
     return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=K * oversample, t=t, r=r,
                           wrad=wrad, z=z, dz=dz, xi=xi, osc_eigs=osc, phi=phi,
-                          proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz, _x1=x1)
+                          proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz, _x1=x1,
+                          radial_eig=radial_eig)
 
 
 @lru_cache(maxsize=8)

@@ -4,10 +4,12 @@ The solver minimizes the action over the Nehari manifold, in physical
 variables at every frequency, on a grid whose scale follows the state
 (grid_for): far below zero frequency the radial basis frequency grows and
 the axial box shrinks with |lambda|, near LAMBDA0 the box stretches so the
-axial tail fits.  The Barzilai-Borwein step length is measured in the
-preconditioner's metric, which makes the descent covariant under these
-rescalings, so the narrow far states cost no more iterations than the
-O(1) ones.
+axial tail fits.  The descent, MINRES and LOBPCG are preconditioned with
+the exact inverse of the linear part: a diagonal divide on the unit grid,
+fast diagonalization of its radial block on the others (precond).  The
+Barzilai-Borwein step length is measured in the linear part's metric,
+which makes the descent covariant under these rescalings, so the narrow
+far states cost no more iterations than the O(1) ones.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
@@ -77,10 +79,27 @@ class StationaryProblem:
     def quadform_lin(self, coeffs: np.ndarray) -> float:
         return float(np.real(np.sum(np.conj(coeffs) * self.apply_lin(coeffs))))
 
-    def precond_diag(self) -> np.ndarray:
-        g = self.grid
-        d = self._diag[g.Mz // 2 + 1] + (1.0 - g.omega**2) * np.diag(g._x1)[:, None]
-        return np.maximum(d, 1e-6)
+    @cached_property
+    def _precond_scale(self) -> np.ndarray:
+        """What precond divides by, shape (K, Mz/2+1, 1): the even-sector
+        diagonal of the linear part at omega = 1, else its eigenvalues
+        Lambda + xi^2 - lam in the radial eigenbasis."""
+        g, m = self.grid, self.grid.Mz // 2 + 1
+        if g.omega == 1.0:
+            return self._diag[m][:, :, None]
+        return (g.radial_eig[0][:, None] + g.xi[None, :m] ** 2 - self.lam)[:, :, None]
+
+    def precond(self, x: np.ndarray) -> np.ndarray:
+        """Apply the linear part's exact inverse to even-sector coefficients
+        of shape (K, Mz/2+1), (n,) or (n, k): a divide at omega = 1, else
+        a divide between two K x K GEMMs with the radial eigenvectors."""
+        g, d = self.grid, self._precond_scale
+        blocks = (g.K, d.shape[1], -1)
+        if g.omega == 1.0:
+            return (x.reshape(blocks) / d).reshape(x.shape)
+        s = g.radial_eig[1]
+        y = (s.T @ x.reshape(g.K, -1)).reshape(blocks) / d
+        return (s @ y.reshape(g.K, -1)).reshape(x.shape)
 
     def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.apply_lin(coeffs) - self.grid.to_even(np.abs(values) ** (self.p - 2.0) * values)
@@ -152,12 +171,8 @@ def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> Operator:
 
 
 def _sector_precond(problem: StationaryProblem) -> Operator:
-    dv = problem.precond_diag().reshape(-1, 1)
-
-    def mm(x):
-        return (x.reshape(dv.size, -1) / dv).reshape(x.shape)
-
-    return Operator((dv.size, dv.size), mm, mm)
+    n = problem.grid.K * (problem.grid.Mz // 2 + 1)
+    return Operator((n, n), problem.precond, problem.precond)
 
 
 def minres(A: Operator, b: np.ndarray, M: Operator, rtol: float, maxiter: int,
@@ -219,7 +234,6 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
     c, un = _project(problem, c)
     J = problem.action_value(c, un)
     actions = [J]
-    pre = problem.precond_diag()
     mpre = _sector_precond(problem)
     alpha = 1.0
     prev_c = prev_grad = None
@@ -277,15 +291,16 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
             continue
 
         # preconditioned Barzilai-Borwein step with backtracking; the length
-        # s^T P s / s^T y is measured in the preconditioner's metric, so it
-        # stays O(1) under the rescalings that grid_for applies
-        direction = grad / pre
+        # s^T L0 s / s^T y is measured in the metric of the linear part L0,
+        # whose inverse preconditions, so it stays O(1) under the
+        # rescalings that grid_for applies
+        direction = problem.precond(grad)
         if prev_c is not None:
             s = c - prev_c
             y = grad - prev_grad
             sy = float(np.sum(s * y))
             if sy > 0:
-                alpha = float(np.sum(pre * s * s)) / sy
+                alpha = problem.quadform_lin(s) / sy
             alpha = float(np.clip(alpha, 1e-4, 1e4))
         prev_c, prev_grad = c, grad
         accepted = False

@@ -219,6 +219,35 @@ def test_predicted_chain_matches_cold_solves():
         assert s.stability == classify_slope(solve_chi(cold)[1])
 
 
+def test_failed_analysis_fails_that_sample_alone(monkeypatch, tmp_path):
+    """An eigensolve that fails at one frequency makes that frequency a
+    failure row; the sweep keeps the other samples, continues from the last
+    good one (here across the far-grid switch), and the CLI writes
+    branch.csv and exits 3."""
+    from confinement_lab import branch
+    from confinement_lab.cli import main
+    from confinement_lab.errors import EigsNotConverged
+    real = branch.linearized_smallest_eigs
+
+    def failing_at_minus_7(lin, *args, **kwargs):
+        if lin.problem.lam == -7.0:
+            raise EigsNotConverged("forced")
+        return real(lin, *args, **kwargs)
+
+    monkeypatch.setattr(branch, "linearized_smallest_eigs", failing_at_minus_7)
+    starts = _recorded_starts(monkeypatch)
+    curve = sweep(4.0, [-10.0, -7.0, -5.0], resolution=Resolution(K=24, Mz=128))
+    assert list(curve.lambdas()) == [-10.0, -5.0]
+    assert [lam for lam, _ in curve.failures] == [-7.0]
+    init = next(init for lam, init in starts if lam == -5.0)
+    assert init.grid.omega == 10.0    # predicted from the sample at -10, not -7
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--p", "4", "--lambda-grid=-10,-7,-5", "--K", "24", "--Mz", "128",
+               "--outdir", str(out)])
+    assert rc == 3
+    assert len((out / "branch.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("state", ["state_near_p4", "state_far_p4"])
 def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     """The one-column eigensolve of the sweep finds the same smallest

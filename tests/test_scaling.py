@@ -126,9 +126,10 @@ def test_picture_independence(shot3d_p4):
         def apply_lin(self, coeffs):
             return self.grid.apply_lin(coeffs, 1.0) + (self.mu - 1.0) * self.grid._x1_mult(coeffs)
 
-        def precond_diag(self):
+        def precond(self, x):
             g = self.grid
-            return g.lin_diag(g.Mz // 2 + 1, 1.0) + (self.mu - 1.0) * np.diag(g._x1)[:, None]
+            d = g.lin_diag(g.Mz // 2 + 1, 1.0) + (self.mu - 1.0) * np.diag(g._x1)[:, None]
+            return (x.reshape(d.size, -1) / d.reshape(-1, 1)).reshape(x.shape)
 
     lam = -8.0
     params = ModelParams(p=P, lam=lam)
