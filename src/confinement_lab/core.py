@@ -108,7 +108,7 @@ class Field:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            c = self.grid.to_coeffs(self._values.astype(complex))
+            c = self.grid.to_coeffs(self._values)
             c.setflags(write=False)
             self._coeffs = c
         return self._coeffs

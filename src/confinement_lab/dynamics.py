@@ -101,7 +101,7 @@ def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
         c[g.K // 3:, :] = 0.0
         keep = np.abs(np.fft.fftfreq(g.Mz, 1.0 / g.Mz)) <= g.Mz // 6
         c[:, ~keep] = 0.0
-        pert = Field(g, coeffs=c.astype(complex), real=True)
+        pert = Field(g, coeffs=c, real=True)
     elif shape == "ground_mode":
         c = np.zeros((g.K, g.Mz), dtype=complex)
         c[0, :] = u.coeffs[0, :]
@@ -125,7 +125,7 @@ def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
 
 def perturbed_state(u: Field, cfg: EvolutionConfig) -> Field:
     """Complex initial state u + perturbation, per the config."""
-    psi_c = u.coeffs.astype(complex)
+    psi_c = u.coeffs
     if cfg.perturbation > 0.0:
         pert = make_perturbation(u, cfg.shape, cfg.perturbation, cfg.seed, cfg.sector)
         psi_c = psi_c + pert.coeffs

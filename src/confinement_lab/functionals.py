@@ -72,7 +72,7 @@ def gradient(u: Field, params: ModelParams) -> Field:
     g = u.grid
     lin = g.apply_lin(u.coeffs, -params.lam)
     vals = u.values
-    nl = g.to_coeffs((np.abs(vals) ** (params.p - 2.0) * vals).astype(complex))
+    nl = g.to_coeffs(np.abs(vals) ** (params.p - 2.0) * vals)
     return Field(g, coeffs=lin - nl, real=u.real, even_z=u.even_z)
 
 

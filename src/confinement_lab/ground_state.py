@@ -17,7 +17,9 @@ direction in the symmetric sector, so the Newton refinement solves its
 Hessian (applied in blocks by the in-repo LOBPCG) and the linearized
 solves all live on the grid's real even-in-z representation
 (Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
-axial translation invariance; results are expanded to the full grid once.
+axial translation invariance; a result is expanded to the full grid once.
+The true residuals of solve_chi and the eigenpairs are checked with the
+sector operator solved with (sqrt(w) weights make its norms L^2 norms).
 MINRES and LOBPCG are in-repo; this module loads scipy only for ARPACK (eigsh).
 """
 
@@ -114,16 +116,17 @@ class StationaryProblem:
 # -- core iteration --------------------------------------------------------------
 
 @dataclass
-class IterationResult:
-    coeffs: np.ndarray      # full grid (K, Mz), real
-    values: np.ndarray      # full grid (nr, Mz), real
+class GroundStateResult:
+    u: Field
+    params: ModelParams
     action: float
-    grad_norm: float
+    mass: float
+    gradient_norm: float
     nehari_residual: float
-    lp: float
     iterations: int
     converged: bool
-    action_history: list
+    problem: StationaryProblem
+    action_history: list = field(default_factory=list)
 
 
 def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
@@ -223,10 +226,10 @@ def eigsh(A: Operator, *args, **kwargs):
 
 
 def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
-                         opts: SolverOptions = SolverOptions()) -> IterationResult:
+                         opts: SolverOptions = SolverOptions()) -> GroundStateResult:
     """Nehari-projected preconditioned descent, then Newton refinement.
 
-    coeffs0 is an even-sector start (see Discretization.reduce_even).
+    coeffs0 is an even-sector start (see Discretization.to_even).
     """
     c = np.array(coeffs0, dtype=float)
     if float(np.sum(c * c)) < COLLAPSE_MASS:
@@ -319,25 +322,14 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         actions.append(J)
 
     coeffs, values = problem.grid.expand_even(c, un)
-    return IterationResult(coeffs, values, J, gn, res, lp, min(it, opts.max_iter),
-                           converged, actions)
+    u = Field(problem.grid, values=values, coeffs=coeffs, real=True, even_z=True)
+    return GroundStateResult(u=u, params=ModelParams(problem.p, problem.lam), action=J,
+                             mass=float(np.sum(coeffs**2)), gradient_norm=gn,
+                             nehari_residual=res, iterations=min(it, opts.max_iter),
+                             converged=converged, problem=problem, action_history=actions)
 
 
 # -- public API -------------------------------------------------------------------
-
-@dataclass
-class GroundStateResult:
-    u: Field
-    params: ModelParams
-    action: float
-    mass: float
-    gradient_norm: float
-    nehari_residual: float
-    iterations: int
-    converged: bool
-    problem: StationaryProblem
-    action_history: list = field(default_factory=list)
-
 
 def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     """Scale any field u onto the Nehari set of the physical problem at params."""
@@ -372,7 +364,8 @@ def _starts(params: ModelParams, grid: Discretization) -> dict[str, Callable[[],
     z = grid.half_values(grid.z)   # only even functions of z are sampled
 
     def reference(regime):
-        return lambda: grid.reduce_even(reference_profile(params, regime, grid).coeffs)
+        return lambda: grid.to_even(
+            grid.half_values(reference_profile(params, regime, grid).values))
 
     out = {}
     if params.tau < 1.0:
@@ -433,28 +426,15 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
             best = res
     if best is None:
         raise NotConverged(opts.max_iter, np.nan, what="ground state")
-
-    return _package_result(params, prob, best)
-
-
-def _package_result(params: ModelParams, prob: StationaryProblem,
-                    res: IterationResult) -> GroundStateResult:
-    vmax = float(np.abs(res.values).max())
-    vmin = float(res.values.min())
     # positivity up to discretization noise: exponential tails in a
     # Gaussian-weighted basis ring at the level of the radial spectral
     # tail, so the floor is measured rather than fixed
-    tail = float(np.linalg.norm(res.coeffs[-4:, :]) / np.linalg.norm(res.coeffs))
-    if not vmin >= -max(1e-8, tail) * vmax:
-        raise NotConverged(res.iterations, res.grad_norm,
+    values, coeffs = best.u.values, best.u.coeffs
+    tail = float(np.linalg.norm(coeffs[-4:, :]) / np.linalg.norm(coeffs))
+    if not float(values.min()) >= -max(1e-8, tail) * float(np.abs(values).max()):
+        raise NotConverged(best.iterations, best.gradient_norm,
                            what="ground state (converged to a sign-changing state)")
-    u = Field(prob.grid, values=res.values, coeffs=res.coeffs,
-              real=True, even_z=True)
-    return GroundStateResult(u=u, params=params, action=res.action,
-                             mass=float(np.sum(res.coeffs**2)),
-                             gradient_norm=res.grad_norm, nehari_residual=res.nehari_residual,
-                             iterations=res.iterations, converged=res.converged,
-                             problem=prob, action_history=res.action_history)
+    return best
 
 
 # -- linearized operator ----------------------------------------------------------
@@ -562,14 +542,12 @@ def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
             raise EigsNotConverged(str(exc)) from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    out = []
-    for i in range(n):
-        f = Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)), real=True, even_z=True)
-        resid = lin.apply_field(f) - float(vals[i]) * f
-        if resid.l2_norm() > 1e-6 * f.l2_norm():
-            raise EigsNotConverged(f"eigenpair {i} residual {resid.l2_norm():.2e}")
-        out.append((float(vals[i]), f))
-    return out
+    resid = np.linalg.norm(op.matmat(vecs) - vecs * vals, axis=0)
+    bad = np.flatnonzero(resid > 1e-6 * np.linalg.norm(vecs, axis=0))
+    if bad.size:
+        raise EigsNotConverged(f"eigenpair {bad[0]} residual {resid[bad[0]]:.2e}")
+    return [(float(vals[i]), Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)),
+                                   real=True, even_z=True)) for i in range(n)]
 
 
 def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
@@ -579,14 +557,12 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
     Returns the frequency-derivative field chi = du/dlambda and the mass
     slope d/dlambda int u^2 = 2 int u*chi.
     """
-    lin = LinearizedOperator.at(result)
-    u = result.u
-    g = u.grid
-    rhs = g.reduce_even(u.coeffs).ravel()
-    x, info = minres(lin.sector_operator(), rhs, M=_sector_precond(result.problem),
-                     rtol=rtol, maxiter=maxiter)
-    chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
-    resid = (lin.apply_field(chi) - u).l2_norm()
-    if resid > 1e-8 * u.l2_norm():
+    g = result.u.grid
+    op = LinearizedOperator.at(result).sector_operator()
+    rhs = g.reduce_even(result.u.coeffs).ravel()
+    x, info = minres(op, rhs, M=_sector_precond(result.problem), rtol=rtol, maxiter=maxiter)
+    resid = float(np.linalg.norm(op.matvec(x) - rhs))
+    if resid > 1e-8 * np.linalg.norm(rhs):
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")
+    chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
     return chi, 2.0 * float(x @ rhs)

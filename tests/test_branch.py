@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confinement_lab.branch import (BranchCurve, BranchSample,
+from confinement_lab.branch import (BranchCurve, BranchSample, analyze_sample,
                                     asymptotic_constants, classify_slope,
                                     default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_prefactor_far,
@@ -248,12 +248,26 @@ def test_failed_analysis_fails_that_sample_alone(monkeypatch, tmp_path):
     assert len((out / "branch.csv").read_text().splitlines()) == 3
 
 
+def test_analysis_runs_no_full_grid_transform(state_mid_p4, monkeypatch):
+    """The slope, the tangent and the lowest sector eigenvalue of a
+    converged state are computed in the even sector alone: the full-grid
+    transforms are never called."""
+    from confinement_lab.grid import Discretization
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-grid transform called")
+
+    monkeypatch.setattr(Discretization, "to_coeffs", forbidden)
+    monkeypatch.setattr(Discretization, "from_coeffs", forbidden)
+    sample = analyze_sample(state_mid_p4)
+    assert sample.tangent is not None and sample.eig_min < 0.0
+
+
 @pytest.mark.parametrize("state", ["state_near_p4", "state_far_p4"])
 def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     """The one-column eigensolve of the sweep finds the same smallest
     sector eigenvalue as a three-column one, on the unit-frequency grid and
     on the far grid of radial basis frequency |lambda|."""
-    from confinement_lab.branch import analyze_sample
     from confinement_lab.ground_state import LinearizedOperator, linearized_smallest_eigs
     res = request.getfixturevalue(state)
     ref = linearized_smallest_eigs(LinearizedOperator.at(res), n=3)[0][0]

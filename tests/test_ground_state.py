@@ -465,6 +465,38 @@ def test_solve_chi_requires_invertibility(state_near_p4):
         solve_chi(state_near_p4, rtol=1.0, maxiter=1)
 
 
+def test_solve_chi_checks_true_residual(monkeypatch):
+    """A solution that MINRES reports as converged (info == 0) but that
+    does not solve L chi = u fails the residual check on the sector
+    operator."""
+    res = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=Resolution(K=8, Mz=16))
+    real_minres = ground_state.minres
+
+    def damaged(*args, **kwargs):
+        x, info = real_minres(*args, **kwargs)
+        assert info == 0
+        return 1.01 * x, info
+
+    monkeypatch.setattr(ground_state, "minres", damaged)
+    with pytest.raises(NearSingular):
+        solve_chi(res)
+
+
+def test_eigenpairs_check_true_residual(tiny_lin, monkeypatch):
+    """An eigenvector that LOBPCG returns without raising but that is off
+    its eigenvalue fails the residual check on the sector operator."""
+    real_lobpcg = ground_state.lobpcg
+
+    def damaged(*args, **kwargs):
+        vals, vecs = real_lobpcg(*args, **kwargs)
+        vecs[:, -1] += 1e-3 * np.random.default_rng(5).standard_normal(vecs.shape[0])
+        return vals, vecs
+
+    monkeypatch.setattr(ground_state, "lobpcg", damaged)
+    with pytest.raises(EigsNotConverged):
+        linearized_smallest_eigs(tiny_lin, n=2)
+
+
 # -- symmetrization of iterates ---------------------------------------------------
 
 def test_symmetrize_coeffs_idempotent(rng):
