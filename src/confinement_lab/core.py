@@ -79,10 +79,9 @@ class Field:
             values = values.astype(float if real else complex, copy=True)
             values.setflags(write=False)
         if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=complex)
+            coeffs = np.array(coeffs, dtype=complex)
             if coeffs.shape != (grid.K, grid.Mz):
                 raise ShapeMismatch(f"coeffs shape {coeffs.shape}")
-            coeffs = coeffs.copy()
             coeffs.setflags(write=False)
         self._values = values
         self._coeffs = coeffs

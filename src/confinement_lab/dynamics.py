@@ -22,6 +22,17 @@ Polishing phi alone and forming proj afterwards leaves a fixed error in
 the low-mode block the state lives in, which every step applies again:
 a steady bias of about -1e-15 in relative mass per step.
 
+In the symmetric sector (the default) the flow keeps an even state even,
+so the state is held on the even half grid (the Mz/2+1 nodes z >= 0) as
+the real pair (Re psi, Im psi), and the linear step is to_even, a turn
+of each even coefficient by the multiplier, and from_even: real GEMMs.
+On the collocation grid the sqrt(w)-weighted DCT-I is orthogonal and the
+radial pair square, so to_even maps the half-grid norm (quad_even) onto
+the Euclidean norm of the even coefficients, the full-grid L^2 norm:
+both sub-steps stay isometries and the argument above carries over.  A
+record point expands one to_even and the half-grid values to a Field,
+so no full-grid transform runs.  A start with an odd part is refused.
+
 Orbital distance to a standing-wave orbit quotients out the global phase
 (closed form) and axial translations (trig-polynomial scan over the box
 followed by a Newton polish), in the trap-weighted H metric, reported
@@ -39,7 +50,7 @@ import numpy as np
 
 from .core import Field, ModelParams
 from .errors import ShapeMismatch, StepTooLarge
-from .functionals import quadratic_parts, lp_integral
+from .functionals import quadratic_parts
 
 PERTURBATION_SHAPES = ("even_random", "ground_mode", "z_dilation")
 NEWTON_STEPS = 8    # orbital distance: Newton steps on the best shift
@@ -85,9 +96,15 @@ class EvolutionTrace:
 
 
 def energy_value(psi: Field, p: float) -> float:
-    """Conserved energy: (1/2) int |grad psi|^2 + |y|^2 |psi|^2 - (1/p) int |psi|^p."""
-    q = quadratic_parts(psi)
-    return 0.5 * (q["kin_y"] + q["kin_z"] + q["trap"]) - lp_integral(psi, p) / p
+    """Conserved energy: (1/2) int |grad psi|^2 + |y|^2 |psi|^2 - (1/p) int |psi|^p.
+
+    The quadratic part is <c, (-Delta + |y|^2) c> on the coefficients c."""
+    g, c, vals = psi.grid, psi.coeffs, psi.values
+    quad = float(np.vdot(c, g.apply_lin(c, 0.0)).real)
+    mod = vals.real ** 2
+    if np.iscomplexobj(vals):
+        mod += vals.imag ** 2
+    return 0.5 * quad - float(g.quad(mod ** (0.5 * p))) / p
 
 
 def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
@@ -129,7 +146,8 @@ def perturbed_state(u: Field, cfg: EvolutionConfig) -> Field:
     if cfg.perturbation > 0.0:
         pert = make_perturbation(u, cfg.shape, cfg.perturbation, cfg.seed, cfg.sector)
         psi_c = psi_c + pert.coeffs
-    return Field(u.grid, coeffs=psi_c, real=False, even_z=False)
+    even_z = cfg.sector == "symmetric" and u.even_z
+    return Field(u.grid, coeffs=psi_c, real=False, even_z=even_z)
 
 
 def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
@@ -141,7 +159,8 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     for the distance series; pass None to skip it.  With snapshot_dir set,
     the state is written in the Field snapshot format at every record point.
     Raises StepTooLarge if the relative energy drift over the first few
-    steps exceeds 1e-3.
+    steps exceeds 1e-3, and, in the symmetric sector, ShapeMismatch if
+    psi0 is not even in z.
     """
     g = psi0.grid
     if g.omega != 1.0:
@@ -162,20 +181,46 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     p = params.p
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
-    lin_phase = np.exp(-1j * dt * g.lin_diag(g.Mz, 0.0))
-
     ref_data = _reference_data(reference) if reference is not None else None
 
-    vals = psi0.values.astype(complex)
-    e0 = energy_value(psi0, p)
+    # the sector chooses the state's representation, its linear sub-step and
+    # how an observed state becomes a Field (with its mass)
+    if cfg.sector == "symmetric":
+        state = _even_pair(psi0)
+        angle = dt * g.lin_diag(g.Mz // 2 + 1, 0.0)
+        lin_cos, lin_sin = np.cos(angle), -np.sin(angle)
+
+        def linear(state):
+            coeffs = g.to_even(state)
+            _turn(coeffs, lin_cos, lin_sin)
+            return g.from_even(coeffs)
+
+        def observe(state):
+            coeffs, vals = g.expand_even(g.to_even(state), state)
+            fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=coeffs[0] + 1j * coeffs[1],
+                        real=False, even_z=True)
+            return float(g.quad_even(state[0] ** 2 + state[1] ** 2)), fld
+    else:
+        state = psi0.values.astype(complex)
+        lin_phase = np.exp(-1j * dt * g.lin_diag(g.Mz, 0.0))
+
+        def linear(vals):
+            coeffs = g.to_coeffs(vals)
+            coeffs *= lin_phase
+            return g.from_coeffs(coeffs)
+
+        def observe(vals):
+            return float(g.quad(np.abs(vals) ** 2)), Field(g, values=vals, real=False)
+
+    e0 = energy_value(observe(state)[1], p)
     scale = max(abs(e0), 1.0)
 
     times, masses, energies, dists = [], [], [], []
 
-    def record(step, vals):
-        fld = Field(g, values=vals, real=False)
+    def record(step, state):
+        mass, fld = observe(state)
         times.append(step * dt)
-        masses.append(float(g.quad(np.abs(vals) ** 2)))
+        masses.append(mass)
         energies.append(energy_value(fld, p))
         dists.append(orbital_distance_data(fld, ref_data) if ref_data else float("nan"))
         if snapshot_dir is not None:
@@ -183,45 +228,69 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
             save_field(fld, Path(snapshot_dir) / f"psi_{step:08d}",
                        p=p, lam=params.lam, extra={"t": step * dt})
 
-    def rotate(vals, h):
-        # vals *= exp(i h |vals|^{p-2}) in place; cos and sin fill the factor
-        # directly, which costs less than a complex exp
-        mod = vals.real ** 2
-        mod += vals.imag ** 2
+    def rotate(state, h):
+        # state *= exp(i h |state|^{p-2}) in place; cos and sin of the angle
+        # cost less than a complex exp
+        re, im = (state.real, state.imag) if np.iscomplexobj(state) else state
+        mod = re ** 2
+        mod += im ** 2
         if p != 4.0:
             mod **= 0.5 * (p - 2.0)
         mod *= h
-        rot = np.empty_like(vals)
-        np.cos(mod, out=rot.real)
-        np.sin(mod, out=rot.imag)
-        vals *= rot
+        _turn(state, np.cos(mod), np.sin(mod))
 
-    record(0, vals)
+    record(0, state)
     # a full rotation is one step's trailing half-step and the next step's
     # leading one; it is split in two only where the state is observed
-    rotate(vals, 0.5 * dt)
+    rotate(state, 0.5 * dt)
     for step in range(1, n_steps + 1):
-        coeffs = g.to_coeffs(vals)
-        coeffs *= lin_phase
-        vals = g.from_coeffs(coeffs)
+        state = linear(state)
         recorded = step % cfg.record_every == 0 or step == n_steps
         if not recorded and step != cfg.check_first_steps:
-            rotate(vals, dt)
+            rotate(state, dt)
             continue
-        rotate(vals, 0.5 * dt)
+        rotate(state, 0.5 * dt)
         if recorded:
-            record(step, vals)
+            record(step, state)
             if cfg.stop_when_distance is not None and ref_data and \
                     dists[-1] > cfg.stop_when_distance:
                 break
         if step == cfg.check_first_steps:
-            drift = abs(energy_value(Field(g, values=vals, real=False), p) - e0) / scale
+            drift = abs(energy_value(observe(state)[1], p) - e0) / scale
             if drift > 1e-3:
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")
-        rotate(vals, 0.5 * dt)     # the next step's leading half-step
+        rotate(state, 0.5 * dt)     # the next step's leading half-step
     return EvolutionTrace(t=np.array(times), mass=np.array(masses),
                           energy=np.array(energies), orbital_distance=np.array(dists),
                           seed=cfg.seed, sector=cfg.sector, dt=dt)
+
+
+def _turn(state, cos, sin):
+    """state *= cos + i sin in place; state is complex (numpy's complex
+    product, as in the plain loop) or a real pair (re, im) of planes."""
+    if np.iscomplexobj(state):
+        state *= cos + 1j * sin
+        return
+    re, im = state
+    t = sin * im
+    u = sin * re
+    re *= cos
+    re -= t
+    im *= cos
+    im += u
+
+
+def _even_pair(psi: Field) -> np.ndarray:
+    """Half-grid values (re, im), shape (2, nr, Mz/2+1), of an even state.
+    Raises ShapeMismatch if psi has an odd part above 1e-12 of its norm."""
+    g, c = psi.grid, psi.coeffs
+    pair = np.stack([g.reduce_even(c), g.reduce_even(c.imag)])
+    back = g.expand_even(pair)
+    odd, norm = np.linalg.norm(back[0] + 1j * back[1] - c), np.linalg.norm(c)
+    if odd > 1e-12 * norm:
+        raise ShapeMismatch(f"the symmetric sector needs a state even in z; "
+                            f"odd part {odd:.1e} of a norm of {norm:.1e}")
+    return g.from_even(pair)
 
 
 # -- orbital distance -------------------------------------------------------------

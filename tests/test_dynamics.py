@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from confinement_lab.core import Field, ModelParams, load_field
 from confinement_lab.dynamics import (EvolutionConfig, energy_value, evolve,
                                       make_perturbation, orbital_distance,
                                       perturbed_state)
-from confinement_lab.errors import StepTooLarge
+from confinement_lab.errors import ShapeMismatch, StepTooLarge
+from confinement_lab.grid import Discretization
 from confinement_lab.ground_state import Resolution, solve_ground_state
 
 
@@ -114,6 +117,58 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     assert np.abs(tr.mass - mass).max() <= 1e-12 * mass[0]
     final, _ = load_field(tmp_path / "psi_00000050")
     assert np.abs(final.values - states[50]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0], ids=["p=4", "p=3"])
+def test_symmetric_sector_matches_full_sector(stable_state, tmp_path, p):
+    # the even half grid and the full grid integrate the same symmetric flow
+    params = ModelParams(p=p, lam=stable_state.params.lam)
+    cfg = EvolutionConfig(dt=1e-3, T=0.1, perturbation=0.03, record_every=20)
+    psi0 = perturbed_state(stable_state.u, cfg)
+    runs = {}
+    for sector in ("symmetric", "full"):
+        (tmp_path / sector).mkdir()
+        tr = evolve(psi0, params, replace(cfg, sector=sector), reference=stable_state.u,
+                    snapshot_dir=tmp_path / sector)
+        runs[sector] = (tr, load_field(tmp_path / sector / "psi_00000100"))
+    (ts, (fs, hs)), (tf, (ff, hf)) = runs["symmetric"], runs["full"]
+    assert np.array_equal(ts.t, tf.t)
+    for a, b in ((ts.mass, tf.mass), (ts.energy, tf.energy),
+                 (ts.orbital_distance, tf.orbital_distance)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert np.abs(fs.values - ff.values).max() <= 1e-12 * np.abs(ff.values).max()
+    assert hs["even_z"] and not hf["even_z"]
+
+
+def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, monkeypatch):
+    # the step, the records (mass, energy, distance) and the snapshots all
+    # run on the even half grid
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=10,
+                          check_first_steps=5)
+    psi0 = perturbed_state(stable_state.u, cfg)
+
+    def forbidden(self, arr):
+        raise AssertionError("full-grid transform in the symmetric sector")
+
+    monkeypatch.setattr(Discretization, "to_coeffs", forbidden)
+    monkeypatch.setattr(Discretization, "from_coeffs", forbidden)
+    tr = evolve(psi0, stable_state.params, cfg, reference=stable_state.u,
+                snapshot_dir=tmp_path)
+    assert len(tr.t) == 6 and np.isfinite(tr.orbital_distance).all()
+    assert (tmp_path / "psi_00000050.bin").exists()
+
+
+def test_symmetric_sector_rejects_odd_state(stable_state):
+    # a translated ground state is not even in z: the symmetric sector
+    # refuses it instead of projecting its odd part away
+    u = stable_state.u
+    g = u.grid
+    shifted = Field(g, coeffs=u.coeffs * np.exp(-1j * g.xi[None, :] * 0.7), real=False)
+    cfg = EvolutionConfig(dt=1e-3, T=0.01)
+    with pytest.raises(ShapeMismatch):
+        evolve(shifted, stable_state.params, cfg)
+    tr = evolve(shifted, stable_state.params, EvolutionConfig(dt=1e-3, T=0.01, sector="full"))
+    assert abs(tr.mass[-1] / tr.mass[0] - 1.0) <= 1e-12
 
 
 def test_orbital_distance_quotients(stable_state, rng):
