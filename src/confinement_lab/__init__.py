@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 from .core import LAMBDA0, Field, ModelParams
 from .grid import Discretization, build
 from .functionals import FunctionalReport, gradient, pohozaev_residual, report, scaled_actions
-from .ground_state import (GroundStateResult, LinearizedOperator, Resolution,
-                           SolverOptions, linearized_smallest_eigs, nehari_scale,
-                           solve_chi, solve_ground_state)
+from .ground_state import (GroundStateResult, Resolution, SolverOptions,
+                           linearized_smallest_eigs, nehari_scale, solve_chi,
+                           solve_ground_state)
 from .limits import (ShotProfile, Soliton1D, reference_profile,
                      shoot_1d, shoot_3d, soliton_1d)
 from .scaling import ScalingReport, from_v, from_w, scaling_report, to_v, to_w
@@ -29,7 +29,7 @@ __all__ = [
     "LAMBDA0", "Field", "ModelParams",
     "Discretization", "build",
     "FunctionalReport", "gradient", "pohozaev_residual", "report", "scaled_actions",
-    "GroundStateResult", "LinearizedOperator", "Resolution", "SolverOptions",
+    "GroundStateResult", "Resolution", "SolverOptions",
     "linearized_smallest_eigs", "nehari_scale", "solve_chi", "solve_ground_state",
     "ShotProfile", "Soliton1D", "reference_profile",
     "shoot_1d", "shoot_3d", "soliton_1d",

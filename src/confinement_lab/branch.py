@@ -21,12 +21,12 @@ import numpy as np
 from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
                      MassTooLarge, NearSingular, NotConverged)
-from .ground_state import (FAR_SWITCH, GroundStateResult, LinearizedOperator, Resolution,
-                           SolverOptions, linearized_smallest_eigs,
-                           solve_chi, solve_ground_state)
+from .ground_state import (FAR_SWITCH, GroundStateResult, Resolution, SolverOptions,
+                           linearized_smallest_eigs, solve_chi, solve_ground_state)
 from .limits import shoot_3d, soliton_1d
 
-SLOPE_TOL = 1e-8
+SLOPE_TOL = 1e-8        # |dM/dlambda| at or below this is "undetermined"
+FD_DELTA = 1e-3         # half-width of the centered mass difference
 
 
 @dataclass
@@ -83,25 +83,25 @@ class BranchCurve:
         return curve
 
 
-def classify_slope(slope: float, tol: float = SLOPE_TOL) -> str:
-    if slope < -tol:
+def classify_slope(slope: float) -> str:
+    if slope < -SLOPE_TOL:
         return "stable"
-    if slope > tol:
+    if slope > SLOPE_TOL:
         return "unstable"
     return "undetermined"
 
 
-def slope_finite_difference(p: float, lam: float, delta: float = 1e-3,
+def slope_finite_difference(p: float, lam: float,
                             resolution: Resolution = Resolution(),
                             opts: SolverOptions = SolverOptions(),
                             warm: GroundStateResult | None = None) -> float:
-    """Centered difference (M(lam+delta) - M(lam-delta)) / (2 delta)."""
+    """Centered difference (M(lam+FD_DELTA) - M(lam-FD_DELTA)) / (2 FD_DELTA)."""
     init = warm.u if warm is not None else None
-    lo = solve_ground_state(ModelParams(p=p, lam=lam - delta), init=init,
+    lo = solve_ground_state(ModelParams(p=p, lam=lam - FD_DELTA), init=init,
                             resolution=resolution, opts=opts)
-    hi = solve_ground_state(ModelParams(p=p, lam=lam + delta), init=init,
+    hi = solve_ground_state(ModelParams(p=p, lam=lam + FD_DELTA), init=init,
                             resolution=resolution, opts=opts)
-    return (hi.mass - lo.mass) / (2.0 * delta)
+    return (hi.mass - lo.mass) / (2.0 * FD_DELTA)
 
 
 def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
@@ -121,20 +121,19 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
                                            resolution=resolution, opts=opts, warm=result)
     eig_min = float("nan")
     if compute_eig:
-        lin = LinearizedOperator.at(result)
-        eig_min = linearized_smallest_eigs(lin, n=1)[0][0]
+        eig_min = linearized_smallest_eigs(result.problem, result.u.values, n=1)[0][0]
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
                         stability=classify_slope(slope), eig_min=eig_min,
                         tangent=tangent)
 
 
-def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05,
-                        n_far: int = 10, n_mid: int = 10, n_near: int = 8) -> np.ndarray:
-    """Geometric refinement toward both ends of (-inf, LAMBDA0)."""
-    far = -np.geomspace(-lam_min, 2.0, n_far)
-    mid = np.linspace(-1.5, LAMBDA0 - 0.6, n_mid)
-    near = LAMBDA0 - np.geomspace(0.5, tau_min, n_near)
+def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05) -> np.ndarray:
+    """Geometric refinement toward both ends of (-inf, LAMBDA0): 10 far, 10
+    middle and 8 near samples."""
+    far = -np.geomspace(-lam_min, 2.0, 10)
+    mid = np.linspace(-1.5, LAMBDA0 - 0.6, 10)
+    near = LAMBDA0 - np.geomspace(0.5, tau_min, 8)
     grid = np.concatenate([far, mid, near])
     return np.unique(np.round(grid, 12))
 
@@ -228,6 +227,9 @@ def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
 
 # -- asymptotic constants --------------------------------------------------------
 
+N_TAIL = 3    # tail samples in an asymptotic fit
+
+
 @dataclass(frozen=True)
 class AsymptoticFit:
     regime: str
@@ -238,9 +240,9 @@ class AsymptoticFit:
     predicted: float                # limit-problem mass integral
 
 
-def asymptotic_constants(curve: BranchCurve, regime: str,
-                         n_tail: int = 3) -> AsymptoticFit:
-    """Premultiplied mass along a tail and its limit-problem prediction.
+def asymptotic_constants(curve: BranchCurve, regime: str) -> AsymptoticFit:
+    """Premultiplied mass along the N_TAIL samples of a tail closest to
+    its limit, and the limit-problem prediction.
 
     far:  |lambda|^{3/2 - 2/(p-2)} M(lambda) -> int vtilde^2
     near: tau^{1/2 - 2/(p-2)} M(lambda)      -> int what^2
@@ -250,18 +252,18 @@ def asymptotic_constants(curve: BranchCurve, regime: str,
     masses = curve.masses()
     if regime == "far":
         sel = lams < 0
-        if sel.sum() < n_tail:
-            raise InsufficientTail(f"need {n_tail} far samples, have {int(sel.sum())}")
-        order = np.argsort(lams[sel])[:n_tail]          # most negative first
+        if sel.sum() < N_TAIL:
+            raise InsufficientTail(f"need {N_TAIL} far samples, have {int(sel.sum())}")
+        order = np.argsort(lams[sel])[:N_TAIL]          # most negative first
         par = -lams[sel][order]
         expo = 1.5 - 2.0 / (p - 2.0)
         vals = par**expo * masses[sel][order]
         predicted = shoot_3d(p, rtol=1e-10).mass
     elif regime == "near":
         tau = LAMBDA0 - lams
-        order = np.argsort(tau)[:n_tail]                # smallest tau first
-        if order.size < n_tail:
-            raise InsufficientTail(f"need {n_tail} near samples")
+        order = np.argsort(tau)[:N_TAIL]                # smallest tau first
+        if order.size < N_TAIL:
+            raise InsufficientTail(f"need {N_TAIL} near samples")
         par = tau[order]
         expo = 0.5 - 2.0 / (p - 2.0)
         vals = par**expo * masses[order]
@@ -323,8 +325,10 @@ def _mass_at(p, lam, resolution, opts, warm):
     return res
 
 
-def _bisect_mass(p, target, lam_a, lam_b, resolution, opts,
-                 rel_tol=1e-7, max_iter=80):
+BISECT_MAX_ITER = 80    # secant steps of a mass bisection
+
+
+def _bisect_mass(p, target, lam_a, lam_b, resolution, opts, rel_tol=1e-7):
     """Find lam in [lam_a, lam_b] with M(lam) = target on a monotone stretch."""
     warm = [None]
     ra = _mass_at(p, lam_a, resolution, opts, warm)
@@ -340,7 +344,7 @@ def _bisect_mass(p, target, lam_a, lam_b, resolution, opts,
             f"(M={ra.mass:.4g}, {rb.mass:.4g})")
     best = ra if abs(fa) < abs(fb) else rb
     side = 0   # Illinois damping: halve the retained endpoint when it repeats
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if abs(best.mass - target) <= rel_tol * target:
             return best
         lam_mid = lam_b - fb * (lam_b - lam_a) / (fb - fa) if fb != fa else \
@@ -361,7 +365,8 @@ def _bisect_mass(p, target, lam_a, lam_b, resolution, opts,
             if side == +1:
                 fa *= 0.5
             side = +1
-    raise NotConverged(max_iter, abs(best.mass - target) / target, what="mass bisection")
+    raise NotConverged(BISECT_MAX_ITER, abs(best.mass - target) / target,
+                       what="mass bisection")
 
 
 def find_mass_pair(p: float, c: float,

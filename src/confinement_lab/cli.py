@@ -29,17 +29,22 @@ from .dynamics import EvolutionConfig, evolve, perturbed_state
 from . import verify as verify_mod
 
 
-def _add_common(sp):
+def _add_common(sp, solves=True):
+    """The options every subcommand takes; with solves, the grid and the
+    solver settings too.  --seed and --jobs go only where they are read."""
     sp.add_argument("--p", type=float, default=4.0, help="nonlinearity exponent in (2,6)")
-    sp.add_argument("--K", type=int, default=Resolution().K)
-    sp.add_argument("--Mz", type=int, default=Resolution().Mz)
-    sp.add_argument("--Lz", type=float, default=Resolution().Lz)
-    sp.add_argument("--tol-grad", type=float, default=SolverOptions().tol_grad)
-    sp.add_argument("--tol-nehari", type=float, default=SolverOptions().tol_nehari)
-    sp.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
-    sp.add_argument("--seed", type=int, default=1234)
+    if solves:
+        sp.add_argument("--K", type=int, default=Resolution().K)
+        sp.add_argument("--Mz", type=int, default=Resolution().Mz)
+        sp.add_argument("--Lz", type=float, default=Resolution().Lz)
+        sp.add_argument("--tol-grad", type=float, default=SolverOptions().tol_grad)
+        sp.add_argument("--tol-nehari", type=float, default=SolverOptions().tol_nehari)
+        sp.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
     sp.add_argument("--outdir", type=Path, default=Path("out"))
-    sp.add_argument("--jobs", type=int, default=1)
+
+
+def _add_jobs(sp, what):
+    sp.add_argument("--jobs", type=int, default=1, help=what)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,20 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-fd", action="store_true", help="also record finite-difference slopes")
     sp.add_argument("--skip-eigs", action="store_true")
     _add_common(sp)
+    _add_jobs(sp, "processes for the two continuation chains")
 
     sp = sub.add_parser("verify", help="check the asymptotic/stability claims numerically")
     sp.add_argument("--theorem", choices=["1.3", "A.3", "A.8", "slopes"], required=True)
     sp.add_argument("--lambdas", type=str, default="-10,-20,-40")
     sp.add_argument("--tau", type=str, default="0.2,0.1,0.05")
     _add_common(sp)
+    _add_jobs(sp, "processes for the sweep of theorem A.8")
 
     sp = sub.add_parser("limits", help="1D/3D limit profiles to CSV")
     sp.add_argument("--which", choices=["1d", "3d", "both"], default="both")
-    _add_common(sp)
+    _add_common(sp, solves=False)
 
     sp = sub.add_parser("pair", help="two states of prescribed L2 norm")
     sp.add_argument("--c", type=float, required=True, help="prescribed L2 norm")
     _add_common(sp)
+    _add_jobs(sp, "accepted for scripts that pass it; the pair runs in one process")
 
     sp = sub.add_parser("evolve", help="time evolution of a (perturbed) standing wave")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -87,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--record-every", type=int, default=10)
     sp.add_argument("--snapshots", action="store_true",
                     help="write a Field snapshot at every record point")
+    sp.add_argument("--seed", type=int, default=1234, help="seed of the even_random shape")
     _add_common(sp)
+    _add_jobs(sp, "accepted for scripts that pass it; the evolution runs in one process")
     return ap
 
 
@@ -103,10 +113,14 @@ def _config_dict(args) -> dict:
     return d
 
 
-def _prep(args):
+def _write_config(args) -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
     (args.outdir / "run_config.json").write_text(
         json.dumps(_config_dict(args), indent=2, sort_keys=True, default=_json_default))
+
+
+def _prep(args):
+    _write_config(args)
     res = Resolution(K=args.K, Mz=args.Mz, Lz=args.Lz)
     opts = SolverOptions(tol_grad=args.tol_grad, tol_nehari=args.tol_nehari,
                          max_iter=args.max_iter)
@@ -171,7 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    _prep(args)
+    _write_config(args)
     if args.which in ("1d", "both"):
         sol = soliton_1d(args.p)
         prof = shoot_1d(args.p)

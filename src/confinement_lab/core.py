@@ -86,12 +86,6 @@ class Field:
         self._values = values
         self._coeffs = coeffs
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, grid, real=True) -> "Field":
-        return cls(grid, values=np.zeros((grid.nr, grid.Mz)), real=real, even_z=True)
-
     # -- representations -----------------------------------------------------
 
     @property
@@ -138,12 +132,6 @@ class Field:
         return self._like(np.asarray(scalar) * self.coeffs, real=real)
 
     __rmul__ = __mul__
-
-    def symmetrized(self) -> "Field":
-        """Project onto the even-in-z sector (idempotent, exact on the grid)."""
-        jr = self.grid.even_reflection_index()
-        vals = 0.5 * (self.values + self.values[:, jr])
-        return Field(self.grid, values=vals, real=self.real, even_z=True)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))

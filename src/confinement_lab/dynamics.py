@@ -107,9 +107,9 @@ def energy_value(psi: Field, p: float) -> float:
     return 0.5 * quad - float(g.quad(mod ** (0.5 * p))) / p
 
 
-def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
-                      sector: str = "symmetric") -> Field:
-    """Real perturbation field with the given relative H amplitude."""
+def make_perturbation(u: Field, shape: str, amplitude: float, seed: int) -> Field:
+    """Real perturbation field with the given relative H amplitude; even in
+    z when u is."""
     g = u.grid
     rng = np.random.default_rng(seed)
     if shape == "even_random":
@@ -118,7 +118,8 @@ def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
         c[g.K // 3:, :] = 0.0
         keep = np.abs(np.fft.fftfreq(g.Mz, 1.0 / g.Mz)) <= g.Mz // 6
         c[:, ~keep] = 0.0
-        pert = Field(g, coeffs=c, real=True)
+        # real coefficients: the real part sum_m c_m cos(xi_m z) is even
+        pert = Field(g, values=g.from_coeffs(c).real, real=True)
     elif shape == "ground_mode":
         c = np.zeros((g.K, g.Mz), dtype=complex)
         c[0, :] = u.coeffs[0, :]
@@ -129,8 +130,6 @@ def make_perturbation(u: Field, shape: str, amplitude: float, seed: int,
         pert = Field(g, values=-g.z[None, :] * dz_vals, real=True)
     else:
         raise ValueError(f"unknown perturbation shape {shape!r}")
-    if sector == "symmetric":
-        pert = pert.symmetrized()
     qp = quadratic_parts(pert)
     hn = np.sqrt(qp["kin_y"] + qp["kin_z"] + qp["trap"] + qp["l2"])
     if hn == 0.0:
@@ -144,7 +143,7 @@ def perturbed_state(u: Field, cfg: EvolutionConfig) -> Field:
     """Complex initial state u + perturbation, per the config."""
     psi_c = u.coeffs
     if cfg.perturbation > 0.0:
-        pert = make_perturbation(u, cfg.shape, cfg.perturbation, cfg.seed, cfg.sector)
+        pert = make_perturbation(u, cfg.shape, cfg.perturbation, cfg.seed)
         psi_c = psi_c + pert.coeffs
     even_z = cfg.sector == "symmetric" and u.even_z
     return Field(u.grid, coeffs=psi_c, real=False, even_z=even_z)

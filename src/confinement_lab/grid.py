@@ -191,11 +191,6 @@ class Discretization:
 
     # -- misc ----------------------------------------------------------------
 
-    def even_reflection_index(self) -> np.ndarray:
-        """Node permutation j -> j' realizing z -> -z on the periodic grid."""
-        j = np.arange(self.Mz)
-        return (self.Mz - j) % self.Mz
-
     def compatible(self, other: "Discretization") -> bool:
         return (self.K == other.K and self.Mz == other.Mz
                 and self.Lz == other.Lz and self.omega == other.omega)

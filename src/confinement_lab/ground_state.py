@@ -43,6 +43,7 @@ from .scaling import resample
 FAR_SWITCH = -6.0
 MAX_NEWTON = 50           # Newton steps per solve
 COLLAPSE_MASS = 1e-12     # an iterate with less squared L^2 norm has collapsed
+LOBPCG_TOL = 2e-7         # eigenpair residual 2-norm at which LOBPCG stops
 
 
 @dataclass(frozen=True)
@@ -173,20 +174,15 @@ def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> Operator:
     return Operator((n, n), mm, mm)
 
 
-def _sector_precond(problem: StationaryProblem) -> Operator:
-    n = problem.grid.K * (problem.grid.Mz // 2 + 1)
-    return Operator((n, n), problem.precond, problem.precond)
-
-
-def minres(A: Operator, b: np.ndarray, M: Operator, rtol: float, maxiter: int,
-           callback=None) -> tuple[np.ndarray, int]:
+def minres(A: Operator, b: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
+           rtol: float, maxiter: int, callback=None) -> tuple[np.ndarray, int]:
     """Solve the symmetric, possibly indefinite A x = b from x = 0 by MINRES
     (Paige & Saunders 1975), M a positive definite approximation of A^{-1}.
     Recurrences and stopping tests are scipy's (its 1 + t <= 1 is t <= eps/2).
     callback(x) runs once per iteration; info is 0, or maxiter if unconverged."""
     eps = np.finfo(float).eps
     x = w = w2 = np.zeros(b.shape[0])
-    r1, r2, y = 0.0, b, M.matvec(b)     # no Lanczos vector precedes the first
+    r1, r2, y = 0.0, b, M(b)     # no Lanczos vector precedes the first
     # math.sqrt raises ValueError on a negative r^T M r: M or A is not symmetric
     beta1 = beta = oldb = phibar = math.sqrt(float(b @ y))
     if beta1 == 0.0:
@@ -198,7 +194,7 @@ def minres(A: Operator, b: np.ndarray, M: Operator, rtol: float, maxiter: int,
         y = A.matvec(v) - (beta / oldb) * r1
         alfa = float(v @ y)
         r1, r2 = r2, y - (alfa / beta) * r2
-        y = M.matvec(r2)
+        y = M(r2)
         oldb, beta = beta, math.sqrt(float(r2 @ y))
         tnorm2 += alfa**2 + oldb**2 + beta**2
         oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
@@ -237,7 +233,6 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
     c, un = _project(problem, c)
     J = problem.action_value(c, un)
     actions = [J]
-    mpre = _sector_precond(problem)
     alpha = 1.0
     prev_c = prev_grad = None
     it = 0
@@ -270,8 +265,8 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
                 break
             newton_used += 1
             rtol = min(0.1, np.sqrt(gn))
-            delta, info = minres(_sector_hessian(problem, un), grad.ravel(), M=mpre,
-                                 rtol=rtol, maxiter=400)
+            delta, info = minres(_sector_hessian(problem, un), grad.ravel(),
+                                 M=problem.precond, rtol=rtol, maxiter=400)
             step = delta.reshape(c.shape)
             ok = False
             for _ in range(8 if info == 0 else 0):   # a failed solve gives no step
@@ -437,37 +432,7 @@ def solve_ground_state(params: ModelParams, init: Field | str | None = None,
     return best
 
 
-# -- linearized operator ----------------------------------------------------------
-
-@dataclass
-class LinearizedOperator:
-    """Second variation of the action at a state: linear part minus
-    (p-1)|u|^{p-2}; self-adjoint on L^2, restricted here to the radial,
-    even-in-z sector unless applied to a full field directly."""
-
-    problem: StationaryProblem
-    base_values: np.ndarray     # nodal values of the state (real)
-
-    @classmethod
-    def at(cls, result: GroundStateResult) -> "LinearizedOperator":
-        return cls(problem=result.problem, base_values=result.u.values)
-
-    @classmethod
-    def free(cls, params: ModelParams, grid: Discretization) -> "LinearizedOperator":
-        prob = StationaryProblem(grid, params.p, params.lam)
-        return cls(problem=prob, base_values=np.zeros((grid.nr, grid.Mz)))
-
-    def apply_field(self, f: Field) -> Field:
-        prob = self.problem
-        w = (prob.p - 1.0) * np.abs(self.base_values) ** (prob.p - 2.0)
-        out = prob.apply_lin(f.coeffs)
-        out = out - prob.grid.to_coeffs(w * f.values)
-        return Field(prob.grid, coeffs=out, real=f.real, even_z=f.even_z)
-
-    def sector_operator(self) -> Operator:
-        """Restriction to the even sector, on flattened even coefficients."""
-        return _sector_hessian(self.problem, self.problem.grid.half_values(self.base_values))
-
+# -- linearization at a ground state ---------------------------------------------
 
 def _orthonormalize(Q: np.ndarray, start: int, stop: int) -> None:
     """Make columns start..stop-1 of Q orthonormal to all before them."""
@@ -480,12 +445,12 @@ def _orthonormalize(Q: np.ndarray, start: int, stop: int) -> None:
             Q[:, j] /= norm
 
 
-def lobpcg(A: Operator, X: np.ndarray, M: Operator,
-           tol: float = 2e-7, maxiter: int = 800) -> tuple[np.ndarray, np.ndarray]:
+def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
+           maxiter: int = 800) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenpairs of the symmetric A by block LOBPCG (Knyazev 2001),
     one per column of the start X: Rayleigh-Ritz on the orthonormal basis
     [X, P, W], W = M R, with one A apply (to W) per iteration; raises
-    EigsNotConverged unless every ||A x - theta x|| <= tol by maxiter."""
+    EigsNotConverged unless every ||A x - theta x|| <= LOBPCG_TOL by maxiter."""
     N, n = X.shape
     S = np.empty((N, 3 * n), order="F")
     AS = np.empty_like(S)
@@ -505,35 +470,37 @@ def lobpcg(A: Operator, X: np.ndarray, M: Operator,
         S[:, :n + p], AS[:, :n + p] = S[:, :k] @ C2, AS[:, :k] @ C2
         R = AS[:, :n] - S[:, :n] * vals[:n]
         rnorm = np.sqrt(np.sum(R * R, axis=0))
-        active = rnorm > tol            # converged columns get no new directions
+        active = rnorm > LOBPCG_TOL     # converged columns get no new directions
         if not active.any():
             return vals[:n], S[:, :n].copy()
         if it < maxiter:
             k = n + p + int(active.sum())
-            S[:, n + p:k] = M.matmat(R[:, active])
+            S[:, n + p:k] = M(R[:, active])
             _orthonormalize(S, n + p, k)
             AS[:, n + p:k] = A.matmat(S[:, n + p:k])
     raise EigsNotConverged(f"LOBPCG residual {rnorm.max():.2e} after {maxiter} iterations")
 
 
-def linearized_smallest_eigs(lin: LinearizedOperator, n: int = 3,
-                             tol: float = 2e-7, maxiter: int = 800):
-    """n smallest eigenpairs of the symmetric-sector restriction.
+def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray,
+                             n: int = 3, maxiter: int = 800):
+    """n smallest eigenpairs of the second variation of the action at the
+    real, even state with full-grid nodal values `values`, restricted to the
+    symmetric sector: the linear part minus (p-1)|u|^{p-2}.
 
-    lobpcg seeded with the base state, which spans the single negative
+    lobpcg seeded with the state, which spans the single negative
     direction of a ground state; falls back to Lanczos if it fails or does
     not converge.  Each returned pair is residual-checked to 1e-6 * ||phi||.
     """
-    g = lin.problem.grid
-    op = lin.sector_operator()
-    pre = _sector_precond(lin.problem)
+    g = problem.grid
+    half = g.half_values(values)
+    op = _sector_hessian(problem, half)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((op.shape[0], n))
-    seed = g.to_even(g.half_values(lin.base_values)).ravel()
+    seed = g.to_even(half).ravel()
     if np.linalg.norm(seed) > 1e-10:
         X[:, 0] = seed
     try:
-        vals, vecs = lobpcg(op, X, M=pre, tol=tol, maxiter=maxiter)
+        vals, vecs = lobpcg(op, X, M=problem.precond, maxiter=maxiter)
     except (EigsNotConverged, np.linalg.LinAlgError):
         from scipy.sparse.linalg import ArpackError
         try:
@@ -558,9 +525,9 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
     slope d/dlambda int u^2 = 2 int u*chi.
     """
     g = result.u.grid
-    op = LinearizedOperator.at(result).sector_operator()
+    op = _sector_hessian(result.problem, g.half_values(result.u.values))
     rhs = g.reduce_even(result.u.coeffs).ravel()
-    x, info = minres(op, rhs, M=_sector_precond(result.problem), rtol=rtol, maxiter=maxiter)
+    x, info = minres(op, rhs, M=result.problem.precond, rtol=rtol, maxiter=maxiter)
     resid = float(np.linalg.norm(op.matvec(x) - rhs))
     if resid > 1e-8 * np.linalg.norm(rhs):
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")

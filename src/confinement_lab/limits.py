@@ -35,6 +35,9 @@ from .grid import Discretization
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
 
+SHOOT_R_END = 25.0      # radius where a shot stops if no event ends it first
+SPLICE_FRAC = 1e-5      # splice the exponential tail below this fraction of the peak
+
 
 def sech_power_integral(s: float) -> float:
     """int_R sech^s(x) dx = sqrt(pi) Gamma(s/2) / Gamma((s+1)/2)."""
@@ -182,22 +185,21 @@ def _integrate(p: float, a: float, dimension: int, r_end: float, rtol: float,
                      events=(overshoot, undershoot), dense_output=dense)
 
 
-def _growth_coefficient(p: float, a: float, dimension: int, r_end: float,
-                        rtol: float) -> float:
+def _growth_coefficient(p: float, a: float, dimension: int, rtol: float) -> float:
     """Coefficient B of e^{+r} in w ~ A e^{-r} + B e^{r} (w = r v in 3D, v in 1D)
-    where the shot stops: B > 0 on undershoot (turning point, or r_end),
+    where the shot stops: B > 0 on undershoot (turning point, or SHOOT_R_END),
     B < 0 on overshoot (zero crossing), linear in a near the threshold."""
-    sol = _integrate(p, a, dimension, r_end, rtol)
+    sol = _integrate(p, a, dimension, SHOOT_R_END, rtol)
     r = sol.t[-1]
     v, dv = sol.y[:, -1]
     w, dw = (r * v, v + r * dv) if dimension == 3 else (v, dv)
     return float(0.5 * (w + dw) * np.exp(-r))
 
 
-def _threshold_amplitude(p: float, dimension: int, r_end: float, rtol: float) -> float:
+def _threshold_amplitude(p: float, dimension: int, rtol: float) -> float:
     """Bracket the threshold amplitude by doubling/halving, then Brent on B(a)."""
     from scipy.optimize import brentq
-    growth = lru_cache(None)(lambda a: _growth_coefficient(p, a, dimension, r_end, rtol))
+    growth = lru_cache(None)(lambda a: _growth_coefficient(p, a, dimension, rtol))
     a = 1.0
     step = 0.5 if growth(a) < 0.0 else 2.0     # overshoot: amplitude too large
     for _ in range(200):
@@ -213,16 +215,16 @@ def _threshold_amplitude(p: float, dimension: int, r_end: float, rtol: float) ->
     return a_star
 
 
-def _profile_from_amplitude(p: float, a_star: float, dimension: int, r_end: float,
-                            rtol: float, splice_frac: float = 1e-5) -> ShotProfile:
+def _profile_from_amplitude(p: float, a_star: float, dimension: int,
+                            rtol: float) -> ShotProfile:
     from scipy.interpolate import CubicSpline
-    sol = _integrate(p, a_star, dimension, r_end, rtol, dense=True)
+    sol = _integrate(p, a_star, dimension, SHOOT_R_END, rtol, dense=True)
     stop = sol.t[-1]
     grid = np.linspace(1e-6, stop, 20001)
     vals = sol.sol(grid)[0]
     # splice where the profile has decayed far below the peak but the
     # forward error (amplified like e^{+r}) is still negligible
-    target = splice_frac * a_star
+    target = SPLICE_FRAC * a_star
     below = np.nonzero(vals < target)[0]
     i_spl = below[0] if below.size else len(grid) - 1
     grid = grid[: i_spl + 1]
@@ -249,19 +251,19 @@ def _profile_from_amplitude(p: float, a_star: float, dimension: int, r_end: floa
 
 
 @lru_cache(maxsize=32)
-def shoot_1d(p: float, r_end: float = 25.0, rtol: float = 1e-12) -> ShotProfile:
+def shoot_1d(p: float) -> ShotProfile:
     """Independent oracle for the 1D soliton (no closed form assumed)."""
     _check_p(p)
-    a_star = _threshold_amplitude(p, dimension=1, r_end=r_end, rtol=rtol)
-    return _profile_from_amplitude(p, a_star, 1, r_end, rtol)
+    a_star = _threshold_amplitude(p, dimension=1, rtol=1e-12)
+    return _profile_from_amplitude(p, a_star, 1, 1e-12)
 
 
 @lru_cache(maxsize=32)
-def shoot_3d(p: float, r_end: float = 25.0, rtol: float = 1e-12) -> ShotProfile:
+def shoot_3d(p: float, rtol: float = 1e-12) -> ShotProfile:
     """Radial ground state of -Delta v + v = v^{p-1} in R^3 by shooting."""
     _check_p(p)
-    a_star = _threshold_amplitude(p, dimension=3, r_end=r_end, rtol=rtol)
-    return _profile_from_amplitude(p, a_star, 3, r_end, rtol)
+    a_star = _threshold_amplitude(p, dimension=3, rtol=rtol)
+    return _profile_from_amplitude(p, a_star, 3, rtol)
 
 
 # -- reference profiles on the 3D grid ------------------------------------------

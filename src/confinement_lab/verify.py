@@ -19,13 +19,18 @@ from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
 from .scaling import (mass_factor_stretched, mass_factor_weak_trap, scaling_report,
                       to_v, to_w)
 
+DIST_TOL = 0.05         # relative distance to the limit profile at the last sample
+MASS_REL_TOL = 0.05     # premultiplied mass against the limit-problem mass
+TAIL_FRAC = 0.10        # both tail masses below this fraction of the maximum
+LAM_FAR, TAU_NEAR = -40.0, 0.05   # the two ends check_slopes probes
+
 
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
 def check_far_regime(p: float, lambdas, resolution=Resolution(),
-                     opts=SolverOptions(), dist_tol=0.05, mass_rel_tol=0.05) -> dict:
+                     opts=SolverOptions()) -> dict:
     """Rescaled states approach the free soliton; premultiplied mass approaches
     its squared L^2 norm."""
     lambdas = sorted(lambdas, reverse=True)        # toward -infinity
@@ -45,18 +50,18 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
                      "premultiplied_mass": premult})
     dists = [r["h1_distance_rel"] for r in rows]
     monotone = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
-    mass_ok = abs(rows[-1]["premultiplied_mass"] / prof.mass - 1.0) <= mass_rel_tol
-    ok = monotone and dists[-1] <= dist_tol and mass_ok
+    mass_ok = abs(rows[-1]["premultiplied_mass"] / prof.mass - 1.0) <= MASS_REL_TOL
+    ok = monotone and dists[-1] <= DIST_TOL and mass_ok
     return {"check": "far_regime", "p": p, "rows": rows,
             "predicted_mass": prof.mass, "monotone_decreasing": monotone,
-            "final_distance": dists[-1], "distance_tol": dist_tol,
+            "final_distance": dists[-1], "distance_tol": DIST_TOL,
             "mass_ok": mass_ok,
             "scaling_report": scaling_report(warm.u, warm.params.lam, p, "v_mu").to_dict(),
             "verdict": _verdict(ok)}
 
 
 def check_near_regime(p: float, taus, resolution=Resolution(),
-                      opts=SolverOptions(), dist_tol=0.05, mass_rel_tol=0.05) -> dict:
+                      opts=SolverOptions()) -> dict:
     """Rescaled states factorize into (planar mode) x (1D soliton)."""
     taus = sorted(taus, reverse=True)              # toward 0+
     sol = soliton_1d(p)
@@ -82,10 +87,10 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
                      "u_h_norm": float(np.sqrt(rep.h_norm_sq))})
     dists = [r["h_distance_rel"] for r in rows]
     monotone = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
-    mass_ok = abs(rows[-1]["premultiplied_mass"] / sol.mass - 1.0) <= mass_rel_tol
+    mass_ok = abs(rows[-1]["premultiplied_mass"] / sol.mass - 1.0) <= MASS_REL_TOL
     out = {"check": "near_regime", "p": p, "rows": rows,
            "predicted_mass": sol.mass, "monotone_decreasing": monotone,
-           "final_distance": dists[-1], "distance_tol": dist_tol,
+           "final_distance": dists[-1], "distance_tol": DIST_TOL,
            "mass_ok": mass_ok,
            "scaling_report": scaling_report(warm.u, warm.params.lam, p, "w_tau").to_dict()}
     # mass-critical exponent: the scaled-mass limit constant sqrt(int |y|^2 e1^2 * int w^2)
@@ -93,37 +98,36 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
         c0 = float(np.sqrt(sol.mass))      # int |y|^2 e1^2 dy = 1
         out["scaled_norm_constant"] = c0
         out["scaled_norm_measured"] = float(np.sqrt(rows[-1]["premultiplied_mass"]))
-    out["verdict"] = _verdict(monotone and dists[-1] <= dist_tol and mass_ok)
+    out["verdict"] = _verdict(monotone and dists[-1] <= DIST_TOL and mass_ok)
     return out
 
 
 def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions(),
-                     lam_min=-40.0, tau_min=0.01, tail_frac=0.10, jobs=1) -> dict:
+                     jobs=1) -> dict:
     """Finite interior maximum of the mass curve; both tails decay below it."""
-    grid = default_lambda_grid(lam_min=lam_min, tau_min=tau_min)
+    grid = default_lambda_grid(lam_min=-40.0, tau_min=0.01)
     curve = sweep(p, grid, resolution=resolution, opts=opts,
                   compute_eig=False, jobs=jobs)
     scan = mass_sup_scan(curve)
     masses = curve.masses()
-    tails_ok = (masses[0] <= tail_frac * scan.max_mass
-                and masses[-1] <= tail_frac * scan.max_mass)
+    tails_ok = (masses[0] <= TAIL_FRAC * scan.max_mass
+                and masses[-1] <= TAIL_FRAC * scan.max_mass)
     ok = scan.interior_max and tails_ok and not curve.failures
     return {"check": "mass_bound", "p": p,
             "max_mass": scan.max_mass, "argmax_lambda": scan.argmax_lambda,
             "far_tail_mass": float(masses[0]), "near_tail_mass": float(masses[-1]),
-            "tail_fraction_required": tail_frac,
+            "tail_fraction_required": TAIL_FRAC,
             "action_bound": scan.action_bound,
             "lambda_tilde_1": scan.lambda_tilde_1, "lambda_tilde_2": scan.lambda_tilde_2,
             "interior_max": scan.interior_max, "n_failures": len(curve.failures),
             "verdict": _verdict(ok)}
 
 
-def check_slopes(p: float, lam_far=-40.0, tau_near=0.05,
-                 resolution=Resolution(), opts=SolverOptions()) -> dict:
+def check_slopes(p: float, resolution=Resolution(), opts=SolverOptions()) -> dict:
     """Slope signs at both ends, slope estimator cross-validation, and the
     sign of the analytic tail prefactors."""
     rows = []
-    for lam in (lam_far, LAMBDA0 - tau_near):
+    for lam in (LAM_FAR, LAMBDA0 - TAU_NEAR):
         params = ModelParams(p=p, lam=lam)
         res = solve_ground_state(params, resolution=resolution, opts=opts)
         sample = analyze_sample(res, compute_fd=True, compute_eig=True,

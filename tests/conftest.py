@@ -29,13 +29,17 @@ def random_band_limited(grid, rng, even_z=True, k_frac=3, m_frac=6, real=True):
     c[grid.K // k_frac:, :] = 0.0
     m = np.abs(np.fft.fftfreq(grid.Mz, 1.0 / grid.Mz))
     c[:, m > grid.Mz // m_frac] = 0.0
+    flip = (-np.arange(grid.Mz)) % grid.Mz    # xi -> -xi, the reflection z -> -z
     if real:
-        flip = (-np.arange(grid.Mz)) % grid.Mz
         c = 0.5 * (c + np.conj(c[:, flip]))   # Hermitian symmetry in the axial index
-    f = Field(grid, coeffs=c, real=real)
     if even_z:
-        f = f.symmetrized()
-    return f
+        c = 0.5 * (c + c[:, flip])
+    return Field(grid, coeffs=c, real=real, even_z=even_z)
+
+
+def zero_field(grid):
+    from confinement_lab.core import Field
+    return Field(grid, values=np.zeros((grid.nr, grid.Mz)), real=True, even_z=True)
 
 
 @pytest.fixture(scope="session")

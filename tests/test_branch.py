@@ -229,10 +229,10 @@ def test_failed_analysis_fails_that_sample_alone(monkeypatch, tmp_path):
     from confinement_lab.errors import EigsNotConverged
     real = branch.linearized_smallest_eigs
 
-    def failing_at_minus_7(lin, *args, **kwargs):
-        if lin.problem.lam == -7.0:
+    def failing_at_minus_7(problem, *args, **kwargs):
+        if problem.lam == -7.0:
             raise EigsNotConverged("forced")
-        return real(lin, *args, **kwargs)
+        return real(problem, *args, **kwargs)
 
     monkeypatch.setattr(branch, "linearized_smallest_eigs", failing_at_minus_7)
     starts = _recorded_starts(monkeypatch)
@@ -268,9 +268,9 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     """The one-column eigensolve of the sweep finds the same smallest
     sector eigenvalue as a three-column one, on the unit-frequency grid and
     on the far grid of radial basis frequency |lambda|."""
-    from confinement_lab.ground_state import LinearizedOperator, linearized_smallest_eigs
+    from confinement_lab.ground_state import linearized_smallest_eigs
     res = request.getfixturevalue(state)
-    ref = linearized_smallest_eigs(LinearizedOperator.at(res), n=3)[0][0]
+    ref = linearized_smallest_eigs(res.problem, res.u.values, n=3)[0][0]
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
 
 

@@ -92,10 +92,22 @@ def test_jobs_env_fallback(monkeypatch):
     the benchmark refuses does not set it."""
     from confinement_lab.cli import build_parser
     monkeypatch.setenv("CONFINEMENT_LAB_JOBS", "3")
-    args = build_parser().parse_args(["solve", "--lambda", "1.5"])
+    args = build_parser().parse_args(["sweep"])
     assert args.jobs == 1
-    args = build_parser().parse_args(["solve", "--lambda", "1.5", "--jobs", "2"])
+    args = build_parser().parse_args(["sweep", "--jobs", "2"])
     assert args.jobs == 2
+
+
+def test_subcommands_refuse_flags_they_ignore(tmp_path):
+    """limits takes no grid or solver settings and solve no --seed: both
+    are configuration errors, and run_config.json of limits holds only
+    what limits reads."""
+    assert main(["limits", "--K", "16", "--outdir", str(tmp_path / "l")]) == 2
+    assert main(["solve", "--lambda", "1.5", "--seed", "1", "--outdir", str(tmp_path / "s")]) == 2
+    out = tmp_path / "lims"
+    assert main(["limits", "--which", "1d", "--outdir", str(out)]) == 0
+    cfg = json.loads((out / "run_config.json").read_text())
+    assert sorted(cfg) == ["cmd", "outdir", "p", "version", "which"]
 
 
 SCIPY_BLOCKED = """

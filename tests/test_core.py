@@ -55,19 +55,6 @@ def test_field_dual_representation_roundtrip(small_grid, rng):
     assert rel <= 1e-10
 
 
-def test_symmetrize_idempotent_and_kills_odd(small_grid, rng):
-    c = rng.standard_normal((small_grid.K, small_grid.Mz))
-    f = Field(small_grid, coeffs=c.astype(complex), real=True)
-    s1 = f.symmetrized()
-    s2 = s1.symmetrized()
-    assert np.array_equal(s1.values, s2.values)          # bit-for-bit
-    # even fields have symmetric spectral content: no odd sine part
-    cc = s1.coeffs
-    odd = cc[:, 1:] - cc[:, :0:-1]
-    assert np.abs(odd.imag).max() < 1e-14 * max(np.abs(cc).max(), 1e-30)
-    assert np.abs(odd).max() <= 1e-12 * np.abs(cc).max()
-
-
 def test_field_algebra_and_immutability(small_grid, rng):
     from conftest import random_band_limited
     f = random_band_limited(small_grid, rng)

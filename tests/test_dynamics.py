@@ -5,8 +5,8 @@ import pytest
 
 from confinement_lab import dynamics
 from confinement_lab.core import Field, ModelParams, load_field
-from confinement_lab.dynamics import (EvolutionConfig, energy_value, evolve,
-                                      make_perturbation, orbital_distance,
+from confinement_lab.dynamics import (PERTURBATION_SHAPES, EvolutionConfig, energy_value,
+                                      evolve, make_perturbation, orbital_distance,
                                       perturbed_state)
 from confinement_lab.errors import ShapeMismatch, StepTooLarge
 from confinement_lab.grid import Discretization
@@ -209,14 +209,29 @@ def test_perturbation_shapes_and_amplitude(stable_state):
     from confinement_lab.functionals import quadratic_parts
     qu = quadratic_parts(u)
     hu = np.sqrt(qu["kin_y"] + qu["kin_z"] + qu["trap"] + qu["l2"])
-    for shape in ("even_random", "ground_mode", "z_dilation"):
+    flip = (-np.arange(u.grid.Mz)) % u.grid.Mz     # the node reflection z -> -z
+    for shape in PERTURBATION_SHAPES:
         pert = make_perturbation(u, shape, 0.01, seed=3)
         qp = quadratic_parts(pert)
         hp = np.sqrt(qp["kin_y"] + qp["kin_z"] + qp["trap"] + qp["l2"])
         assert hp == pytest.approx(0.01 * hu, rel=1e-10)
-        # symmetric-sector perturbations preserve evenness
-        jr = u.grid.even_reflection_index()
-        assert np.abs(pert.values - pert.values[:, jr]).max() <= 1e-12 * np.abs(pert.values).max()
+        # every shape of an even state is even
+        assert np.abs(pert.values - pert.values[:, flip]).max() <= 1e-12 * np.abs(pert.values).max()
+
+
+@pytest.mark.parametrize("sector", ["symmetric", "full"])
+@pytest.mark.parametrize("shape", PERTURBATION_SHAPES)
+def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape, sector):
+    """The perturbation added to the start is the real field its values
+    describe, in both sectors: its coefficients are those of their real
+    part.  A real-flagged field with non-Hermitian coefficients would start
+    the full sector from an imaginary, odd part."""
+    u = stable_state.u
+    g = u.grid
+    cfg = EvolutionConfig(perturbation=0.01, shape=shape, sector=sector, seed=3)
+    pert = perturbed_state(u, cfg).coeffs - u.coeffs
+    real_part = g.to_coeffs(g.from_coeffs(pert).real)
+    assert np.abs(real_part - pert).max() <= 1e-12 * np.abs(pert).max()
 
 
 def test_seeded_perturbations_reproducible(stable_state):

@@ -5,7 +5,7 @@ from confinement_lab.core import Field, ModelParams
 from confinement_lab.functionals import (action, gradient, pohozaev_residual,
                                          report, scaled_actions)
 from confinement_lab.grid import build
-from conftest import random_band_limited
+from conftest import random_band_limited, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def gaussian_field(grid):
 
 
 def test_report_zero_field(small_grid):
-    rep = report(Field.zero(small_grid), ModelParams(p=4.0, lam=0.0))
+    rep = report(zero_field(small_grid), ModelParams(p=4.0, lam=0.0))
     assert rep.l2_mass == 0.0 and rep.action == 0.0 and rep.lp_integral == 0.0
 
 
@@ -78,19 +78,19 @@ def test_gradient_matches_finite_differences(medium_grid, rng, h_pair):
 
 
 def test_gradient_zero_field(small_grid):
-    g0 = gradient(Field.zero(small_grid), ModelParams(p=4.0, lam=0.5))
+    g0 = gradient(zero_field(small_grid), ModelParams(p=4.0, lam=0.5))
     assert g0.l2_norm() == 0.0
 
 
 def test_pohozaev_zero_and_scaling(small_grid):
     params = ModelParams(p=4.0, lam=0.0)
-    assert pohozaev_residual(Field.zero(small_grid), params) == 0.0
+    assert pohozaev_residual(zero_field(small_grid), params) == 0.0
 
 
 def test_scaled_actions_zero(small_grid):
-    jv, jw = scaled_actions(Field.zero(small_grid), ModelParams(p=4.0, lam=-2.0))
+    jv, jw = scaled_actions(zero_field(small_grid), ModelParams(p=4.0, lam=-2.0))
     assert jv == 0.0 and jw == 0.0
-    jv, jw = scaled_actions(Field.zero(small_grid), ModelParams(p=4.0, lam=1.0))
+    jv, jw = scaled_actions(zero_field(small_grid), ModelParams(p=4.0, lam=1.0))
     assert jv is None and jw == 0.0
 
 

@@ -8,14 +8,13 @@ from confinement_lab.errors import (CollapsedToZero, EigsNotConverged, NearSingu
 from confinement_lab.functionals import pohozaev_residual, report
 from confinement_lab.grid import build
 from confinement_lab import ground_state
-from confinement_lab.ground_state import (LinearizedOperator, Resolution,
-                                          StationaryProblem, linearized_smallest_eigs,
-                                          nehari_scale, grid_for, solve_chi,
-                                          solve_ground_state)
+from confinement_lab.ground_state import (Resolution, StationaryProblem,
+                                          linearized_smallest_eigs, nehari_scale,
+                                          grid_for, solve_chi, solve_ground_state)
 from confinement_lab.limits import near_limit_field, free_soliton_field, soliton_1d
 from confinement_lab.scaling import branch_derivative_to_w, to_v, to_w
 from confinement_lab.functionals import h_distance, h1_distance
-from conftest import random_band_limited
+from conftest import random_band_limited, zero_field
 
 
 def gaussian_field(grid):
@@ -53,14 +52,14 @@ def test_nehari_scale_covariance(medium_grid, rng):
 
 def test_nehari_zero_field_raises(small_grid):
     with pytest.raises(ZeroField):
-        nehari_scale(Field.zero(small_grid), ModelParams(p=4.0, lam=0.0))
+        nehari_scale(zero_field(small_grid), ModelParams(p=4.0, lam=0.0))
 
 
 # -- solver ---------------------------------------------------------------------
 
 def test_zero_init_rejected(small_grid):
     with pytest.raises((ZeroField, CollapsedToZero)):
-        solve_ground_state(ModelParams(p=4.0, lam=0.0), init=Field.zero(small_grid))
+        solve_ground_state(ModelParams(p=4.0, lam=0.0), init=zero_field(small_grid))
 
 
 def test_near_solve_matches_limit_profile(state_near_p4):
@@ -178,29 +177,37 @@ def test_multi_start_tie_goes_to_fewer_iterations(monkeypatch, second, kept):
     assert res.iterations == kept
 
 
-# -- linearized operator -----------------------------------------------------------
+# -- linearization at a ground state ----------------------------------------------
+
+def _free(grid):
+    """The problem at p = 4, lambda = 0 and the zero state: the linear part alone."""
+    return StationaryProblem(grid, 4.0, 0.0), np.zeros((grid.nr, grid.Mz))
+
+
+def _sector_op(prob, values):
+    return ground_state._sector_hessian(prob, prob.grid.half_values(values))
+
 
 def test_free_oscillator_smallest_eig(small_grid):
-    lin = LinearizedOperator.free(ModelParams(p=4.0, lam=0.0), small_grid)
-    eigs = linearized_smallest_eigs(lin, n=3)
+    eigs = linearized_smallest_eigs(*_free(small_grid), n=3)
     assert eigs[0][0] == pytest.approx(2.0, abs=1e-8)
 
 
 @pytest.fixture(scope="module", params=["unit", "far", "free"])
 def tiny_lin(request):
-    """Linearized operators with 72 sector unknowns (K=8, Mz=16): at a
-    ground state on the unit grid (diagonal linear part), at one on the far
-    grid of radial basis frequency 8 (tridiagonal), and the free one."""
+    """Problems and states with 72 sector unknowns (K=8, Mz=16): a ground
+    state on the unit grid (diagonal linear part), one on the far grid of
+    radial basis frequency 8 (tridiagonal), and the zero state."""
     if request.param == "free":
-        return LinearizedOperator.free(ModelParams(p=4.0, lam=0.0), build(K=8, Mz=16, Lz=8.0))
+        return _free(build(K=8, Mz=16, Lz=8.0))
     lam = {"unit": 0.5, "far": -8.0}[request.param]
     res = solve_ground_state(ModelParams(p=4.0, lam=lam), resolution=Resolution(K=8, Mz=16))
     assert res.u.grid.omega == max(1.0, -lam)
-    return LinearizedOperator.at(res)
+    return res.problem, res.u.values
 
 
 def _dense_eigh(lin):
-    op = lin.sector_operator()
+    op = _sector_op(*lin)
     return np.linalg.eigh(op.matmat(np.eye(op.shape[0])))
 
 
@@ -213,37 +220,42 @@ def test_smallest_eigs_match_dense_reference(tiny_lin, n, monkeypatch):
 
     monkeypatch.setattr(ground_state, "eigsh", no_fallback)
     vals, vecs = _dense_eigh(tiny_lin)
-    eigs = linearized_smallest_eigs(tiny_lin, n=n)
+    eigs = linearized_smallest_eigs(*tiny_lin, n=n)
     assert np.allclose([v for v, _ in eigs], vals[:n], rtol=1e-9, atol=0.0)
-    g = tiny_lin.problem.grid
+    g = tiny_lin[0].grid
     phi = g.reduce_even(eigs[0][1].coeffs).ravel()
     assert abs(phi @ vecs[:, 0]) == pytest.approx(np.linalg.norm(phi), rel=1e-9)
 
 
 def test_lobpcg_applies_blocks_once_per_iteration(tiny_lin):
-    """Only matmat touches the operators, and each iteration applies the
-    Hessian once, to the preconditioned residuals: one apply more than
-    the preconditioner, for the start block.  The search directions P keep
-    it under 100 iterations here (13-36); without them it takes 158 at the
-    unit-grid state, 132 at the far one and 35 at the free operator."""
+    """Only matmat touches the Hessian and the preconditioner sees only
+    blocks, and each iteration applies the Hessian once, to the
+    preconditioned residuals: one apply more than the preconditioner, for
+    the start block.  The search directions P keep it under 100 iterations
+    here (13-36); without them it takes 158 at the unit-grid state, 132 at
+    the far one and 35 at the free operator."""
     calls = {"A": 0, "M": 0}
 
     class BlocksOnly(LinearOperator):
-        def __init__(self, op, key):
+        def __init__(self, op):
             super().__init__(op.dtype, op.shape)
-            self.op, self.key = op, key
+            self.op = op
 
         def _matvec(self, x):
             raise AssertionError("column applied through matvec")
 
         def _matmat(self, X):
-            calls[self.key] += 1
+            calls["A"] += 1
             return self.op.matmat(X)
 
-    op = tiny_lin.sector_operator()
-    pre = ground_state._sector_precond(tiny_lin.problem)
+    def precond(X):
+        assert X.ndim == 2
+        calls["M"] += 1
+        return tiny_lin[0].precond(X)
+
+    op = _sector_op(*tiny_lin)
     X = np.random.default_rng(1).standard_normal((op.shape[0], 3))
-    vals, _ = ground_state.lobpcg(BlocksOnly(op, "A"), X, M=BlocksOnly(pre, "M"))
+    vals, _ = ground_state.lobpcg(BlocksOnly(op), X, M=precond)
     assert np.allclose(vals, _dense_eigh(tiny_lin)[0][:3], rtol=1e-9, atol=0.0)
     assert 0 < calls["M"] < 100 and calls["A"] == calls["M"] + 1
 
@@ -252,10 +264,9 @@ def test_unconverged_block_iteration_falls_back_to_lanczos(tiny_lin, monkeypatch
     """An iteration that runs out of iterations raises, and the sweep's
     eigensolve then takes the eigsh fallback and still passes its
     residual check."""
-    op = tiny_lin.sector_operator()
-    pre = ground_state._sector_precond(tiny_lin.problem)
+    op = _sector_op(*tiny_lin)
     with pytest.raises(EigsNotConverged):
-        ground_state.lobpcg(op, np.ones((op.shape[0], 1)), M=pre, maxiter=1)
+        ground_state.lobpcg(op, np.ones((op.shape[0], 1)), M=tiny_lin[0].precond, maxiter=1)
     calls = []
     eigsh = ground_state.eigsh
 
@@ -264,7 +275,7 @@ def test_unconverged_block_iteration_falls_back_to_lanczos(tiny_lin, monkeypatch
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(ground_state, "eigsh", counted)
-    eigs = linearized_smallest_eigs(tiny_lin, n=1, maxiter=1)
+    eigs = linearized_smallest_eigs(*tiny_lin, n=1, maxiter=1)
     assert calls == [1]
     assert eigs[0][0] == pytest.approx(_dense_eigh(tiny_lin)[0][0], rel=1e-9)
 
@@ -280,7 +291,7 @@ def test_failed_fallback_raises(tiny_lin, monkeypatch, error, raised):
 
     monkeypatch.setattr(ground_state, "eigsh", failing)
     with pytest.raises(raised) as info:
-        linearized_smallest_eigs(tiny_lin, n=1, maxiter=1)
+        linearized_smallest_eigs(*tiny_lin, n=1, maxiter=1)
     assert info.value is error or info.value.__cause__ is error
 
 
@@ -290,8 +301,7 @@ def test_minres_matches_dense_solve(tiny_lin):
     """The in-repo MINRES solves the densified sector system, indefinite at
     the two ground states, to the dense solution; the callback sees every
     iterate, one per Hessian apply, and the last one is the returned x."""
-    op = tiny_lin.sector_operator()
-    pre = ground_state._sector_precond(tiny_lin.problem)
+    op, pre = _sector_op(*tiny_lin), tiny_lin[0].precond
     b = np.random.default_rng(2).standard_normal(op.shape[0])
     applies, iterates = [], []
 
@@ -313,12 +323,11 @@ def test_minres_reports_iteration_limit(tiny_lin):
     """An unconverged solve returns info == maxiter (the preconditioner is the
     identity: the diagonal one inverts the free operator in one step); a
     zero right-hand side returns x = 0 at once."""
-    op = tiny_lin.sector_operator()
-    pre = ground_state.Operator(op.shape, np.copy, np.copy)
+    op = _sector_op(*tiny_lin)
     b = np.ones(op.shape[0])
-    x, info = ground_state.minres(op, b, M=pre, rtol=1e-13, maxiter=1)
+    x, info = ground_state.minres(op, b, M=np.copy, rtol=1e-13, maxiter=1)
     assert info == 1 and np.isfinite(x).all()
-    x, info = ground_state.minres(op, np.zeros_like(b), M=pre, rtol=1e-13, maxiter=1)
+    x, info = ground_state.minres(op, np.zeros_like(b), M=np.copy, rtol=1e-13, maxiter=1)
     assert info == 0 and not x.any()
 
 
@@ -326,16 +335,15 @@ def test_precond_inverts_linear_part(tiny_lin):
     """The preconditioner is the exact inverse of the densified linear part:
     a diagonal divide at radial basis frequency 1, fast diagonalization of
     the radial block on the far grid; on blocks and on single vectors."""
-    prob = tiny_lin.problem
+    prob = tiny_lin[0]
     g = prob.grid
     m = g.Mz // 2 + 1
     n = g.K * m
     eye = np.eye(n)
     lin = prob.apply_lin(eye.reshape(n, g.K, m)).reshape(n, n).T
-    pre = ground_state._sector_precond(prob)
-    assert np.abs(pre.matmat(eye) @ lin - eye).max() <= 1e-10
+    assert np.abs(prob.precond(eye) @ lin - eye).max() <= 1e-10
     b = np.random.default_rng(3).standard_normal(n)
-    assert np.abs(pre.matvec(lin @ b) - b).max() <= 1e-10 * np.abs(b).max()
+    assert np.abs(prob.precond(lin @ b) - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_solve_chi_iterations_on_far_grid(monkeypatch):
@@ -358,9 +366,8 @@ def test_minres_matches_scipy_on_solve_chi_system(state_mid_p4):
     """On the default-grid system of solve_chi, the iteration count and the
     solution agree with scipy's MINRES, whose recurrences it follows."""
     from scipy.sparse.linalg import minres as scipy_minres
-    lin = LinearizedOperator.at(state_mid_p4)
-    g = state_mid_p4.u.grid
-    op, pre = lin.sector_operator(), ground_state._sector_precond(state_mid_p4.problem)
+    prob, g = state_mid_p4.problem, state_mid_p4.u.grid
+    op, pre = _sector_op(prob, state_mid_p4.u.values), prob.precond
     rhs = g.reduce_even(state_mid_p4.u.coeffs).ravel()
     counts = {"ours": 0, "scipy": 0}
 
@@ -369,28 +376,32 @@ def test_minres_matches_scipy_on_solve_chi_system(state_mid_p4):
 
     x, info = ground_state.minres(op, rhs, M=pre, rtol=1e-10, maxiter=3000,
                                   callback=counter("ours"))
-    ref, ref_info = scipy_minres(op, rhs, M=pre, rtol=1e-10, maxiter=3000,
-                                 callback=counter("scipy"))
+    ref, ref_info = scipy_minres(op, rhs, M=LinearOperator(op.shape, matvec=pre),
+                                 rtol=1e-10, maxiter=3000, callback=counter("scipy"))
     assert info == ref_info == 0
     assert abs(counts["ours"] - counts["scipy"]) <= 1 and counts["ours"] > 5
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def _full_hessian(res, f):
+    """Coefficients of the second variation at res applied to a field f of
+    the full space, odd parts included."""
+    prob = res.problem
+    w = (prob.p - 1.0) * np.abs(res.u.values) ** (prob.p - 2.0)
+    return prob.apply_lin(f.coeffs) - prob.grid.to_coeffs(w * f.values)
+
+
 def test_selfadjointness(state_near_p4, rng):
-    lin = LinearizedOperator.at(state_near_p4)
     g = state_near_p4.u.grid
     a = random_band_limited(g, rng, even_z=False)
     b = random_band_limited(g, rng, even_z=False)
-    la = lin.apply_field(a)
-    lb = lin.apply_field(b)
-    lhs = np.sum(np.conj(la.coeffs) * b.coeffs)
-    rhs = np.sum(np.conj(a.coeffs) * lb.coeffs)
+    lhs = np.sum(np.conj(_full_hessian(state_near_p4, a)) * b.coeffs)
+    rhs = np.sum(np.conj(a.coeffs) * _full_hessian(state_near_p4, b))
     assert abs(lhs - rhs) <= 1e-9 * a.l2_norm() * b.l2_norm()
 
 
 def test_single_negative_direction_and_nondegeneracy(state_near_p4):
-    lin = LinearizedOperator.at(state_near_p4)
-    eigs = linearized_smallest_eigs(lin, n=3)
+    eigs = linearized_smallest_eigs(state_near_p4.problem, state_near_p4.u.values, n=3)
     vals = [v for v, _ in eigs]
     assert vals[0] < 0 < vals[1]                 # exactly one negative direction
     assert min(abs(v) for v in vals) > 1e-3      # numerically non-degenerate sector
@@ -404,9 +415,7 @@ def test_translation_direction_in_kernel(state_near_p4):
     g = res.u.grid
     dz_coeffs = res.u.coeffs * (1j * g.xi[None, :])
     dz_u = Field(g, coeffs=dz_coeffs, real=True, even_z=False)
-    lin = LinearizedOperator.at(res)
-    img = lin.apply_field(dz_u)
-    assert img.l2_norm() <= 1e-6 * dz_u.l2_norm()
+    assert np.linalg.norm(_full_hessian(res, dz_u)) <= 1e-6 * dz_u.l2_norm()
 
 
 # -- branch derivative ---------------------------------------------------------------
@@ -494,7 +503,7 @@ def test_eigenpairs_check_true_residual(tiny_lin, monkeypatch):
 
     monkeypatch.setattr(ground_state, "lobpcg", damaged)
     with pytest.raises(EigsNotConverged):
-        linearized_smallest_eigs(tiny_lin, n=2)
+        linearized_smallest_eigs(*tiny_lin, n=2)
 
 
 # -- symmetrization of iterates ---------------------------------------------------
