@@ -328,7 +328,7 @@ def _mass_at(p, lam, resolution, opts, warm):
 BISECT_MAX_ITER = 80    # secant steps of a mass bisection
 
 
-def _bisect_mass(p, target, lam_a, lam_b, resolution, opts, rel_tol=1e-7):
+def _bisect_mass(p, target, lam_a, lam_b, resolution, opts, rel_tol):
     """Find lam in [lam_a, lam_b] with M(lam) = target on a monotone stretch."""
     warm = [None]
     ra = _mass_at(p, lam_a, resolution, opts, warm)

@@ -25,7 +25,7 @@ from .ground_state import Resolution, SolverOptions, solve_ground_state
 from .branch import (analyze_sample, default_lambda_grid, find_mass_pair,
                      mass_sup_scan, sweep)
 from .limits import profiles_to_csv, shoot_1d, shoot_3d, soliton_1d
-from .dynamics import EvolutionConfig, evolve, perturbed_state
+from .dynamics import PERTURBATION_SHAPES, EvolutionConfig, evolve, perturbed_state
 from . import verify as verify_mod
 
 
@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="trace the branch over a frequency grid")
     sp.add_argument("--lambda-grid", type=str, default="",
                     help="comma-separated frequencies; empty for the default grid")
-    sp.add_argument("--lambda-min", type=float, default=-40.0)
-    sp.add_argument("--tau-min", type=float, default=0.05)
+    sp.add_argument("--lambda-min", type=float, default=argparse.SUPPRESS, help="not with --lambda-grid")
+    sp.add_argument("--tau-min", type=float, default=argparse.SUPPRESS, help="not with --lambda-grid")
     sp.add_argument("--with-fd", action="store_true", help="also record finite-difference slopes")
     sp.add_argument("--skip-eigs", action="store_true")
     _add_common(sp)
@@ -70,10 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check the asymptotic/stability claims numerically")
     sp.add_argument("--theorem", choices=["1.3", "A.3", "A.8", "slopes"], required=True)
-    sp.add_argument("--lambdas", type=str, default="-10,-20,-40")
-    sp.add_argument("--tau", type=str, default="0.2,0.1,0.05")
+    sp.add_argument("--lambdas", type=str, default=argparse.SUPPRESS, help="theorem 1.3 only")
+    sp.add_argument("--tau", type=str, default=argparse.SUPPRESS, help="theorem A.3 only")
     _add_common(sp)
-    _add_jobs(sp, "processes for the sweep of theorem A.8")
+    sp.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+                    help="theorem A.8 only: processes for its sweep")
 
     sp = sub.add_parser("limits", help="1D/3D limit profiles to CSV")
     sp.add_argument("--which", choices=["1d", "3d", "both"], default="both")
@@ -89,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=2e-3)
     sp.add_argument("--T", type=float, default=20.0)
     sp.add_argument("--perturbation", type=float, default=0.0)
-    sp.add_argument("--shape", choices=["even_random", "ground_mode", "z_dilation"],
-                    default="even_random")
-    sp.add_argument("--sector", choices=["symmetric", "full"], default="symmetric")
+    sp.add_argument("--shape", choices=PERTURBATION_SHAPES, default="even_random")
     sp.add_argument("--record-every", type=int, default=10)
     sp.add_argument("--snapshots", action="store_true",
                     help="write a Field snapshot at every record point")
@@ -99,6 +98,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_jobs(sp, "accepted for scripts that pass it; the evolution runs in one process")
     return ap
+
+
+# Flags that only some runs of a subcommand read: dest -> (default, whether
+# the run reads it).  Other runs refuse them and leave them out of
+# run_config.json.
+CONDITIONAL = {
+    "sweep": {"lambda_min": (-40.0, lambda a: not a.lambda_grid),
+              "tau_min": (0.05, lambda a: not a.lambda_grid)},
+    "verify": {"lambdas": ("-10,-20,-40", lambda a: a.theorem == "1.3"),
+               "tau": ("0.2,0.1,0.05", lambda a: a.theorem == "A.3"),
+               "jobs": (1, lambda a: a.theorem == "A.8")},
+}
+
+
+def _settle(ap, args) -> None:
+    for dest, (default, reads) in CONDITIONAL.get(args.cmd, {}).items():
+        if reads(args):
+            vars(args).setdefault(dest, default)
+        elif hasattr(args, dest):
+            ap.error(f"this {args.cmd} run does not read --{dest.replace('_', '-')}")
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _json_default(obj):
@@ -156,7 +179,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     res, opts = _prep(args)
     if args.lambda_grid:
-        grid = [float(x) for x in args.lambda_grid.split(",") if x.strip()]
+        grid = _floats(args.lambda_grid)
     else:
         grid = default_lambda_grid(lam_min=args.lambda_min, tau_min=args.tau_min)
     curve = sweep(args.p, grid, resolution=res, opts=opts,
@@ -173,11 +196,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     res, opts = _prep(args)
-    lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
-    taus = [float(x) for x in args.tau.split(",") if x.strip()]
-    verdict = verify_mod.run_check(args.theorem, p=args.p, lambdas=lambdas,
-                                   taus=taus, resolution=res, opts=opts,
-                                   jobs=args.jobs)
+    given = vars(args)
+    verdict = verify_mod.run_check(args.theorem, p=args.p,
+                                   lambdas=_floats(given.get("lambdas", "")),
+                                   taus=_floats(given.get("tau", "")),
+                                   resolution=res, opts=opts, jobs=given.get("jobs", 1))
     out = args.outdir / f"verify_{args.theorem.replace('.', '_')}.json"
     out.write_text(json.dumps(verdict, indent=2, sort_keys=True, default=_json_default))
     print(f"{args.theorem}: {verdict['verdict']} -> {out}")
@@ -226,7 +249,7 @@ def cmd_evolve(args) -> int:
     result = solve_ground_state(params, resolution=res, opts=opts)
     cfg = EvolutionConfig(dt=args.dt, T=args.T, perturbation=args.perturbation,
                           shape=args.shape, record_every=args.record_every,
-                          sector=args.sector, seed=args.seed)
+                          seed=args.seed)
     psi0 = perturbed_state(result.u, cfg)
     snap_dir = None
     if args.snapshots:
@@ -243,6 +266,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        _settle(ap, args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "sweep": cmd_sweep, "verify": cmd_verify,

@@ -59,19 +59,17 @@ class Field:
     Nodal values (for pointwise nonlinearities) and spectral coefficients
     (for linear operators) are computed lazily from one another and cached;
     instances are treated as immutable, so every transformation returns a
-    new Field.  Symmetry flags: `real`, `even_z` (reflection symmetry in
-    the free axis).
+    new Field.  `real` is declared; `even_z` (reflection symmetry in the
+    free axis) is measured.
     """
 
-    __slots__ = ("grid", "real", "even_z", "_values", "_coeffs")
+    __slots__ = ("grid", "real", "_values", "_coeffs")
 
-    def __init__(self, grid: Discretization, values=None, coeffs=None,
-                 real: bool = True, even_z: bool = False):
+    def __init__(self, grid: Discretization, values=None, coeffs=None, real: bool = True):
         if values is None and coeffs is None:
             raise ValueError("Field needs values or coeffs")
         self.grid = grid
         self.real = real
-        self.even_z = even_z
         if values is not None:
             values = np.asarray(values)
             if values.shape != (grid.nr, grid.Mz):
@@ -106,30 +104,29 @@ class Field:
             self._coeffs = c
         return self._coeffs
 
-    # -- algebra (spectral) ----------------------------------------------------
+    @property
+    def even_z(self) -> bool:
+        """Whether the odd-in-z part of the coefficients, (c_m - c_{-m})/2,
+        is at most 1e-12 of their norm."""
+        c = self.coeffs
+        odd = 0.5 * (c - c[:, -np.arange(self.grid.Mz)])
+        return bool(np.linalg.norm(odd) <= 1e-12 * np.linalg.norm(c))
 
-    def _like(self, coeffs, real=None, even_z=None) -> "Field":
-        return Field(self.grid, coeffs=coeffs,
-                     real=self.real if real is None else real,
-                     even_z=self.even_z if even_z is None else even_z)
+    # -- algebra (spectral) ----------------------------------------------------
 
     def __add__(self, other: "Field") -> "Field":
         if not self.grid.compatible(other.grid):
             raise ShapeMismatch("fields on incompatible grids")
-        return self._like(self.coeffs + other.coeffs,
-                          real=self.real and other.real,
-                          even_z=self.even_z and other.even_z)
+        return Field(self.grid, coeffs=self.coeffs + other.coeffs, real=self.real and other.real)
 
     def __sub__(self, other: "Field") -> "Field":
         if not self.grid.compatible(other.grid):
             raise ShapeMismatch("fields on incompatible grids")
-        return self._like(self.coeffs - other.coeffs,
-                          real=self.real and other.real,
-                          even_z=self.even_z and other.even_z)
+        return Field(self.grid, coeffs=self.coeffs - other.coeffs, real=self.real and other.real)
 
     def __mul__(self, scalar) -> "Field":
         real = self.real and not isinstance(scalar, complex)
-        return self._like(np.asarray(scalar) * self.coeffs, real=real)
+        return Field(self.grid, coeffs=np.asarray(scalar) * self.coeffs, real=real)
 
     __rmul__ = __mul__
 
@@ -147,7 +144,7 @@ def project_P(f: Field) -> Field:
         raise ShapeMismatch("ground-mode projector needs a unit-frequency grid")
     c = np.zeros_like(f.coeffs)
     c[0, :] = f.coeffs[0, :]
-    return Field(f.grid, coeffs=c, real=f.real, even_z=f.even_z)
+    return Field(f.grid, coeffs=c, real=f.real)
 
 
 def project_Q(f: Field) -> Field:
@@ -156,7 +153,7 @@ def project_Q(f: Field) -> Field:
         raise ShapeMismatch("ground-mode projector needs a unit-frequency grid")
     c = f.coeffs.copy()
     c[0, :] = 0.0
-    return Field(f.grid, coeffs=c, real=f.real, even_z=f.even_z)
+    return Field(f.grid, coeffs=c, real=f.real)
 
 
 # -- snapshot files -----------------------------------------------------------
@@ -204,5 +201,5 @@ def load_field(prefix: str | Path) -> tuple[Field, dict]:
     grid = build(K=header["K"], Mz=header["Mz"], Lz=header["Lz"],
                  omega=header.get("omega", 1.0), oversample=oversample)
     vals = vals.reshape(grid.nr, grid.Mz)
-    fld = Field(grid, values=vals, real=real, even_z=header.get("even_z", False))
+    fld = Field(grid, values=vals, real=real)
     return fld, header

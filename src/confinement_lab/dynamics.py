@@ -22,16 +22,18 @@ Polishing phi alone and forming proj afterwards leaves a fixed error in
 the low-mode block the state lives in, which every step applies again:
 a steady bias of about -1e-15 in relative mass per step.
 
-In the symmetric sector (the default) the flow keeps an even state even,
-so the state is held on the even half grid (the Mz/2+1 nodes z >= 0) as
-the real pair (Re psi, Im psi), and the linear step is to_even, a turn
-of each even coefficient by the multiplier, and from_even: real GEMMs.
-On the collocation grid the sqrt(w)-weighted DCT-I is orthogonal and the
-radial pair square, so to_even maps the half-grid norm (quad_even) onto
-the Euclidean norm of the even coefficients, the full-grid L^2 norm:
-both sub-steps stay isometries and the argument above carries over.  A
-record point expands one to_even and the half-grid values to a Field,
-so no full-grid transform runs.  A start with an odd part is refused.
+The flow keeps an even state even, so a start that is even in z (as
+Field.even_z measures it) is held on the even half grid (the Mz/2+1
+nodes z >= 0) as the real pair (Re psi, Im psi), and the linear step is
+to_even, a turn of each even coefficient by the multiplier, and
+from_even: real GEMMs.  On the collocation grid the sqrt(w)-weighted
+DCT-I is orthogonal and the radial pair square, so to_even maps the
+half-grid norm (quad_even) onto the Euclidean norm of the even
+coefficients, the full-grid L^2 norm: both sub-steps stay isometries and
+the argument above carries over.  A record point expands one to_even and
+the half-grid values to a Field, so no full-grid transform runs.  A
+start with an odd part steps the full grid with the same step body on
+the real and imaginary planes of its complex values and coefficients.
 
 Orbital distance to a standing-wave orbit quotients out the global phase
 (closed form) and axial translations (trig-polynomial scan over the box
@@ -63,7 +65,6 @@ class EvolutionConfig:
     perturbation: float = 0.0           # relative H-norm amplitude, in [0, 0.2]
     shape: str = "even_random"
     record_every: int = 10
-    sector: str = "symmetric"           # "symmetric" | "full"
     seed: int = 1234
     check_first_steps: int = 10
     stop_when_distance: float | None = None   # early exit for escape runs
@@ -75,8 +76,6 @@ class EvolutionConfig:
             raise ValueError("perturbation amplitude outside [0, 0.2]")
         if self.shape not in PERTURBATION_SHAPES:
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
-        if self.sector not in ("symmetric", "full"):
-            raise ValueError("sector must be 'symmetric' or 'full'")
 
 
 @dataclass
@@ -85,8 +84,6 @@ class EvolutionTrace:
     mass: np.ndarray
     energy: np.ndarray
     orbital_distance: np.ndarray
-    seed: int
-    sector: str
     dt: float
 
     def to_csv(self, path) -> None:
@@ -145,8 +142,7 @@ def perturbed_state(u: Field, cfg: EvolutionConfig) -> Field:
     if cfg.perturbation > 0.0:
         pert = make_perturbation(u, cfg.shape, cfg.perturbation, cfg.seed)
         psi_c = psi_c + pert.coeffs
-    even_z = cfg.sector == "symmetric" and u.even_z
-    return Field(u.grid, coeffs=psi_c, real=False, even_z=even_z)
+    return Field(u.grid, coeffs=psi_c, real=False)
 
 
 def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
@@ -157,9 +153,9 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     The reference (typically the ground state the run probes) is only used
     for the distance series; pass None to skip it.  With snapshot_dir set,
     the state is written in the Field snapshot format at every record point.
-    Raises StepTooLarge if the relative energy drift over the first few
-    steps exceeds 1e-3, and, in the symmetric sector, ShapeMismatch if
-    psi0 is not even in z.
+    An even psi0 is stepped on the even half grid, any other on the full
+    grid.  Raises StepTooLarge if the relative energy drift over the first
+    few steps exceeds 1e-3.
     """
     g = psi0.grid
     if g.omega != 1.0:
@@ -172,44 +168,41 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
         # both split sub-steps exact L^2 isometries
         from .grid import build
         gc = build(K=g.K, Mz=g.Mz, Lz=g.Lz, omega=g.omega, oversample=1)
-        psi0 = Field(gc, coeffs=psi0.coeffs, real=False, even_z=psi0.even_z)
+        psi0 = Field(gc, coeffs=psi0.coeffs, real=False)
         if reference is not None:
-            reference = Field(gc, coeffs=reference.coeffs, real=reference.real,
-                              even_z=reference.even_z)
+            reference = Field(gc, coeffs=reference.coeffs, real=reference.real)
         g = gc
     p = params.p
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
     ref_data = _reference_data(reference) if reference is not None else None
 
-    # the sector chooses the state's representation, its linear sub-step and
+    # evenness chooses the state's representation, its transform pair and
     # how an observed state becomes a Field (with its mass)
-    if cfg.sector == "symmetric":
-        state = _even_pair(psi0)
-        angle = dt * g.lin_diag(g.Mz // 2 + 1, 0.0)
-        lin_cos, lin_sin = np.cos(angle), -np.sin(angle)
-
-        def linear(state):
-            coeffs = g.to_even(state)
-            _turn(coeffs, lin_cos, lin_sin)
-            return g.from_even(coeffs)
+    if psi0.even_z:
+        c = psi0.coeffs
+        state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
+        to, back = g.to_even, g.from_even
 
         def observe(state):
             coeffs, vals = g.expand_even(g.to_even(state), state)
             fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=coeffs[0] + 1j * coeffs[1],
-                        real=False, even_z=True)
+                        real=False)
             return float(g.quad_even(state[0] ** 2 + state[1] ** 2)), fld
     else:
         state = psi0.values.astype(complex)
-        lin_phase = np.exp(-1j * dt * g.lin_diag(g.Mz, 0.0))
-
-        def linear(vals):
-            coeffs = g.to_coeffs(vals)
-            coeffs *= lin_phase
-            return g.from_coeffs(coeffs)
+        to, back = g.to_coeffs, g.from_coeffs
 
         def observe(vals):
             return float(g.quad(np.abs(vals) ** 2)), Field(g, values=vals, real=False)
+
+    angle = dt * g.lin_diag(state.shape[-1], 0.0)
+    lin_cos, lin_sin = np.cos(angle), -np.sin(angle)
+
+    def linear(state):
+        coeffs = to(state)
+        _turn(coeffs, lin_cos, lin_sin)
+        return back(coeffs)
 
     e0 = energy_value(observe(state)[1], p)
     scale = max(abs(e0), 1.0)
@@ -236,7 +229,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
         if p != 4.0:
             mod **= 0.5 * (p - 2.0)
         mod *= h
-        _turn(state, np.cos(mod), np.sin(mod))
+        _turn((re, im), np.cos(mod), np.sin(mod))
 
     record(0, state)
     # a full rotation is one step's trailing half-step and the next step's
@@ -260,36 +253,19 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")
         rotate(state, 0.5 * dt)     # the next step's leading half-step
     return EvolutionTrace(t=np.array(times), mass=np.array(masses),
-                          energy=np.array(energies), orbital_distance=np.array(dists),
-                          seed=cfg.seed, sector=cfg.sector, dt=dt)
+                          energy=np.array(energies), orbital_distance=np.array(dists), dt=dt)
 
 
 def _turn(state, cos, sin):
-    """state *= cos + i sin in place; state is complex (numpy's complex
-    product, as in the plain loop) or a real pair (re, im) of planes."""
-    if np.iscomplexobj(state):
-        state *= cos + 1j * sin
-        return
-    re, im = state
+    """state *= cos + i sin in place, on the real and imaginary planes of a
+    complex array (its views) or on a real pair (re, im) of planes."""
+    re, im = (state.real, state.imag) if np.iscomplexobj(state) else state
     t = sin * im
     u = sin * re
     re *= cos
     re -= t
     im *= cos
     im += u
-
-
-def _even_pair(psi: Field) -> np.ndarray:
-    """Half-grid values (re, im), shape (2, nr, Mz/2+1), of an even state.
-    Raises ShapeMismatch if psi has an odd part above 1e-12 of its norm."""
-    g, c = psi.grid, psi.coeffs
-    pair = np.stack([g.reduce_even(c), g.reduce_even(c.imag)])
-    back = g.expand_even(pair)
-    odd, norm = np.linalg.norm(back[0] + 1j * back[1] - c), np.linalg.norm(c)
-    if odd > 1e-12 * norm:
-        raise ShapeMismatch(f"the symmetric sector needs a state even in z; "
-                            f"odd part {odd:.1e} of a norm of {norm:.1e}")
-    return g.from_even(pair)
 
 
 # -- orbital distance -------------------------------------------------------------

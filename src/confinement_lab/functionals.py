@@ -73,7 +73,7 @@ def gradient(u: Field, params: ModelParams) -> Field:
     lin = g.apply_lin(u.coeffs, -params.lam)
     vals = u.values
     nl = g.to_coeffs(np.abs(vals) ** (params.p - 2.0) * vals)
-    return Field(g, coeffs=lin - nl, real=u.real, even_z=u.even_z)
+    return Field(g, coeffs=lin - nl, real=u.real)
 
 
 def action_weak_trap(v: Field, mu: float, p: float) -> float:

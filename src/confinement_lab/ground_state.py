@@ -317,7 +317,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         actions.append(J)
 
     coeffs, values = problem.grid.expand_even(c, un)
-    u = Field(problem.grid, values=values, coeffs=coeffs, real=True, even_z=True)
+    u = Field(problem.grid, values=values, coeffs=coeffs, real=True)
     return GroundStateResult(u=u, params=ModelParams(problem.p, problem.lam), action=J,
                              mass=float(np.sum(coeffs**2)), gradient_norm=gn,
                              nehari_residual=res, iterations=min(it, opts.max_iter),
@@ -514,7 +514,7 @@ def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray,
     if bad.size:
         raise EigsNotConverged(f"eigenpair {bad[0]} residual {resid[bad[0]]:.2e}")
     return [(float(vals[i]), Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)),
-                                   real=True, even_z=True)) for i in range(n)]
+                                   real=True)) for i in range(n)]
 
 
 def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
@@ -531,5 +531,5 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
     resid = float(np.linalg.norm(op.matvec(x) - rhs))
     if resid > 1e-8 * np.linalg.norm(rhs):
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")
-    chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True, even_z=True)
+    chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True)
     return chi, 2.0 * float(x @ rhs)

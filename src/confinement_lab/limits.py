@@ -297,14 +297,14 @@ def reference_profile(params: ModelParams, regime: str, grid: Discretization,
                 * np.outer(planar_ground_mode(grid), sol(np.sqrt(tau) * grid.z)))
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    return Field(grid, values=vals, real=True, even_z=True)
+    return Field(grid, values=vals, real=True)
 
 
 def near_limit_field(p: float, grid: Discretization) -> Field:
     """The factorized limit profile e1(y) * what(z) on a stretched-picture grid."""
     sol = soliton_1d(p)
     vals = np.outer(planar_ground_mode(grid), sol(grid.z))
-    return Field(grid, values=vals, real=True, even_z=True)
+    return Field(grid, values=vals, real=True)
 
 
 def free_soliton_field(p: float, grid: Discretization,
@@ -312,7 +312,7 @@ def free_soliton_field(p: float, grid: Discretization,
     """The 3D free soliton sampled on a weak-trap-picture grid."""
     prof = profile if profile is not None else shoot_3d(p, rtol=1e-10)
     rad = np.sqrt(grid.r[:, None] ** 2 + grid.z[None, :] ** 2)
-    return Field(grid, values=prof(rad), real=True, even_z=True)
+    return Field(grid, values=prof(rad), real=True)
 
 
 def profiles_to_csv(path, coord: np.ndarray, values: np.ndarray) -> None:

@@ -87,12 +87,11 @@ def _relabel(field: Field, omega_factor: float, z_factor: float, amplitude: floa
     amplitude * rf * sqrt(zf) (from the basis rescaling).
     """
     gt = _relabeled_grid(field.grid, omega_factor, z_factor)
-    out = Field(gt,
-                values=amplitude * field.values if field._values is not None else None,
-                coeffs=(amplitude * omega_factor**-0.5 * np.sqrt(z_factor)) * field._coeffs
-                if field._coeffs is not None else None,
-                real=field.real, even_z=field.even_z)
-    return out
+    return Field(gt,
+                 values=amplitude * field.values if field._values is not None else None,
+                 coeffs=(amplitude * omega_factor**-0.5 * np.sqrt(z_factor)) * field._coeffs
+                 if field._coeffs is not None else None,
+                 real=field.real)
 
 
 def to_v(u: Field, lam: float, p: float) -> Field:
@@ -156,7 +155,7 @@ def resample(field: Field, target: Discretization, check_tail: bool = True) -> F
     vals = field.grid.evaluate(field.coeffs, target.r, target.z)
     if field.real:
         vals = vals.real
-    out = Field(target, values=vals, real=field.real, even_z=field.even_z)
+    out = Field(target, values=vals, real=field.real)
     if check_tail:
         src_l2 = field.l2_norm()
         if src_l2 > 0:

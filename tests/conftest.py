@@ -34,12 +34,12 @@ def random_band_limited(grid, rng, even_z=True, k_frac=3, m_frac=6, real=True):
         c = 0.5 * (c + np.conj(c[:, flip]))   # Hermitian symmetry in the axial index
     if even_z:
         c = 0.5 * (c + c[:, flip])
-    return Field(grid, coeffs=c, real=real, even_z=even_z)
+    return Field(grid, coeffs=c, real=real)
 
 
 def zero_field(grid):
     from confinement_lab.core import Field
-    return Field(grid, values=np.zeros((grid.nr, grid.Mz)), real=True, even_z=True)
+    return Field(grid, values=np.zeros((grid.nr, grid.Mz)), real=True)
 
 
 @pytest.fixture(scope="session")

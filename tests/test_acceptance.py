@@ -129,7 +129,7 @@ def test_criterion_03_nehari_projection(rng):
     g = build(K=24, Mz=96, Lz=14.0)
     params = ModelParams(p=4.0, lam=0.0)
     vals = np.exp(-(g.r[:, None] ** 2 + g.z[None, :] ** 2) / 2.0)
-    gauss = Field(g, values=vals, real=True, even_z=True)
+    gauss = Field(g, values=vals, real=True)
     t_g, proj = nehari_scale(gauss, params)
     gauss_ok = abs(t_g - np.sqrt(5.0 * np.sqrt(2.0))) <= 1e-8
     t_fix, _ = nehari_scale(proj, params)
@@ -342,7 +342,7 @@ def test_criterion_10_mass_scan_properties(full_sweep_p4):
 def test_criterion_11a_mass_drift_and_stable(dyn_stable):
     params = dyn_stable.params
     cfg = EvolutionConfig(dt=2e-3, T=20.0, perturbation=0.01, shape="even_random",
-                          sector="symmetric", record_every=100)
+                          record_every=100)
     tr = evolve(perturbed_state(dyn_stable.u, cfg), params, cfg, reference=dyn_stable.u)
     n_steps = int(round(cfg.T / cfg.dt))
     drift = float(np.abs(tr.mass / tr.mass[0] - 1.0).max())
@@ -379,7 +379,7 @@ def test_criterion_11c_standing_wave(dyn_stable):
 def test_criterion_11d_unstable_escape(dyn_unstable):
     _, slope = solve_chi(dyn_unstable)
     cfg = EvolutionConfig(dt=5e-4, T=50.0, perturbation=0.01, shape="even_random",
-                          sector="symmetric", record_every=100, stop_when_distance=0.6)
+                          record_every=100, stop_when_distance=0.6)
     tr = evolve(perturbed_state(dyn_unstable.u, cfg), dyn_unstable.params, cfg,
                 reference=dyn_unstable.u)
     t_escape = float(tr.t[-1])

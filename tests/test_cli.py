@@ -70,6 +70,8 @@ def test_verify_subcommand(tmp_path):
     verdict = json.loads((out / "verify_A_3.json").read_text())
     assert verdict["verdict"] in ("pass", "fail", "undetermined")
     assert len(verdict["rows"]) == 2
+    cfg = json.loads((out / "run_config.json").read_text())
+    assert cfg["tau"] == "0.2,0.1" and "lambdas" not in cfg and "jobs" not in cfg
 
 
 def test_evolve_subcommand(tmp_path):
@@ -108,6 +110,31 @@ def test_subcommands_refuse_flags_they_ignore(tmp_path):
     assert main(["limits", "--which", "1d", "--outdir", str(out)]) == 0
     cfg = json.loads((out / "run_config.json").read_text())
     assert sorted(cfg) == ["cmd", "outdir", "p", "version", "which"]
+
+
+def test_verify_and_sweep_refuse_settings_their_run_ignores(tmp_path):
+    """verify reads --lambdas only for theorem 1.3, --tau only for A.3 and
+    --jobs only for A.8, and sweep reads --lambda-min and --tau-min only
+    without --lambda-grid: any other use is a configuration error, and
+    run_config.json leaves out what its run did not read."""
+    for argv in (["verify", "--theorem", "slopes", "--tau", "0.1"],
+                 ["verify", "--theorem", "A.3", "--lambdas=-10"],
+                 ["verify", "--theorem", "1.3", "--jobs", "2"],
+                 ["sweep", "--lambda-grid=1.5", "--lambda-min=-20"],
+                 ["sweep", "--lambda-grid=1.5", "--tau-min", "0.1"]):
+        assert main([*argv, "--outdir", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+    out = tmp_path / "sw"
+    assert main(["sweep", "--lambda-grid=1.5", "--K", "16", "--Mz", "64", "--Lz", "8",
+                 "--skip-eigs", "--outdir", str(out)]) == 0
+    cfg = json.loads((out / "run_config.json").read_text())
+    assert cfg["lambda_grid"] == "1.5" and "lambda_min" not in cfg and "tau_min" not in cfg
+
+
+def test_evolve_has_no_sector_setting(tmp_path):
+    """The start's measured evenness picks the grid: --sector is refused."""
+    assert main(["evolve", "--lambda", "1.8", "--sector", "full",
+                 "--outdir", str(tmp_path / "e")]) == 2
 
 
 SCIPY_BLOCKED = """

@@ -50,9 +50,19 @@ def test_field_requires_matching_shapes(small_grid):
 def test_field_dual_representation_roundtrip(small_grid, rng):
     from conftest import random_band_limited
     f = random_band_limited(small_grid, rng)
-    g = Field(small_grid, values=f.values, real=True, even_z=True)
+    g = Field(small_grid, values=f.values, real=True)
     rel = np.abs(g.coeffs - f.coeffs).max() / np.abs(f.coeffs).max()
     assert rel <= 1e-10
+
+
+def test_field_even_z_is_measured(small_grid):
+    """even_z is measured on the coefficients: a zero field and a field
+    given by even values alone are even, the same values shifted are not."""
+    from conftest import random_band_limited, zero_field
+    assert zero_field(small_grid).even_z
+    f = random_band_limited(small_grid, np.random.default_rng(5))
+    assert Field(small_grid, values=f.values).even_z
+    assert not Field(small_grid, values=np.roll(f.values, 3, axis=1)).even_z
 
 
 def test_field_algebra_and_immutability(small_grid, rng):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from confinement_lab.core import Field, ModelParams, load_field
 from confinement_lab.dynamics import (PERTURBATION_SHAPES, EvolutionConfig, energy_value,
                                       evolve, make_perturbation, orbital_distance,
                                       perturbed_state)
-from confinement_lab.errors import ShapeMismatch, StepTooLarge
+from confinement_lab.errors import StepTooLarge
 from confinement_lab.grid import Discretization
 from confinement_lab.ground_state import Resolution, solve_ground_state
 
@@ -28,8 +26,6 @@ def test_config_validation():
         EvolutionConfig(perturbation=0.5)
     with pytest.raises(ValueError):
         EvolutionConfig(shape="wiggle")
-    with pytest.raises(ValueError):
-        EvolutionConfig(sector="odd")
 
 
 def test_standing_wave_short(stable_state):
@@ -120,24 +116,27 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("p", [4.0, 3.0], ids=["p=4", "p=3"])
-def test_symmetric_sector_matches_full_sector(stable_state, tmp_path, p):
-    # the even half grid and the full grid integrate the same symmetric flow
+def test_odd_start_steps_the_full_grid(stable_state, tmp_path, p):
+    # the even start shifted by whole nodes is not even, so it steps the full
+    # grid; the flow commutes with node shifts, so the run is the even run,
+    # shifted
     params = ModelParams(p=p, lam=stable_state.params.lam)
     cfg = EvolutionConfig(dt=1e-3, T=0.1, perturbation=0.03, record_every=20)
-    psi0 = perturbed_state(stable_state.u, cfg)
-    runs = {}
-    for sector in ("symmetric", "full"):
-        (tmp_path / sector).mkdir()
-        tr = evolve(psi0, params, replace(cfg, sector=sector), reference=stable_state.u,
-                    snapshot_dir=tmp_path / sector)
-        runs[sector] = (tr, load_field(tmp_path / sector / "psi_00000100"))
-    (ts, (fs, hs)), (tf, (ff, hf)) = runs["symmetric"], runs["full"]
-    assert np.array_equal(ts.t, tf.t)
-    for a, b in ((ts.mass, tf.mass), (ts.energy, tf.energy),
-                 (ts.orbital_distance, tf.orbital_distance)):
+    even = perturbed_state(stable_state.u, cfg)
+    odd = Field(even.grid, values=np.roll(even.values, 7, axis=1), real=False)
+    runs = []
+    for name, psi0 in (("even", even), ("odd", odd)):
+        (tmp_path / name).mkdir()
+        tr = evolve(psi0, params, cfg, reference=stable_state.u, snapshot_dir=tmp_path / name)
+        runs.append((tr, *load_field(tmp_path / name / "psi_00000100")))
+    (te, fe, he), (to, fo, ho) = runs
+    assert np.array_equal(te.t, to.t)
+    for a, b in ((to.mass, te.mass), (to.energy, te.energy),
+                 (to.orbital_distance, te.orbital_distance)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-    assert np.abs(fs.values - ff.values).max() <= 1e-12 * np.abs(ff.values).max()
-    assert hs["even_z"] and not hf["even_z"]
+    rolled = np.roll(fe.values, 7, axis=1)
+    assert np.abs(fo.values - rolled).max() <= 1e-12 * np.abs(rolled).max()
+    assert he["even_z"] is True and ho["even_z"] is False
 
 
 def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, monkeypatch):
@@ -156,19 +155,6 @@ def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, mo
                 snapshot_dir=tmp_path)
     assert len(tr.t) == 6 and np.isfinite(tr.orbital_distance).all()
     assert (tmp_path / "psi_00000050.bin").exists()
-
-
-def test_symmetric_sector_rejects_odd_state(stable_state):
-    # a translated ground state is not even in z: the symmetric sector
-    # refuses it instead of projecting its odd part away
-    u = stable_state.u
-    g = u.grid
-    shifted = Field(g, coeffs=u.coeffs * np.exp(-1j * g.xi[None, :] * 0.7), real=False)
-    cfg = EvolutionConfig(dt=1e-3, T=0.01)
-    with pytest.raises(ShapeMismatch):
-        evolve(shifted, stable_state.params, cfg)
-    tr = evolve(shifted, stable_state.params, EvolutionConfig(dt=1e-3, T=0.01, sector="full"))
-    assert abs(tr.mass[-1] / tr.mass[0] - 1.0) <= 1e-12
 
 
 def test_orbital_distance_quotients(stable_state, rng):
@@ -219,16 +205,15 @@ def test_perturbation_shapes_and_amplitude(stable_state):
         assert np.abs(pert.values - pert.values[:, flip]).max() <= 1e-12 * np.abs(pert.values).max()
 
 
-@pytest.mark.parametrize("sector", ["symmetric", "full"])
 @pytest.mark.parametrize("shape", PERTURBATION_SHAPES)
-def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape, sector):
+def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape):
     """The perturbation added to the start is the real field its values
-    describe, in both sectors: its coefficients are those of their real
-    part.  A real-flagged field with non-Hermitian coefficients would start
-    the full sector from an imaginary, odd part."""
+    describe: its coefficients are those of their real part.  A
+    real-flagged field with non-Hermitian coefficients would start the run
+    from an imaginary, odd part."""
     u = stable_state.u
     g = u.grid
-    cfg = EvolutionConfig(perturbation=0.01, shape=shape, sector=sector, seed=3)
+    cfg = EvolutionConfig(perturbation=0.01, shape=shape, seed=3)
     pert = perturbed_state(u, cfg).coeffs - u.coeffs
     real_part = g.to_coeffs(g.from_coeffs(pert).real)
     assert np.abs(real_part - pert).max() <= 1e-12 * np.abs(pert).max()

@@ -16,7 +16,7 @@ def gauss_grid():
 
 def gaussian_field(grid):
     vals = np.exp(-(grid.r[:, None] ** 2 + grid.z[None, :] ** 2) / 2.0)
-    return Field(grid, values=vals, real=True, even_z=True)
+    return Field(grid, values=vals, real=True)
 
 
 def test_report_zero_field(small_grid):

@@ -19,7 +19,7 @@ from conftest import random_band_limited, zero_field
 
 def gaussian_field(grid):
     vals = np.exp(-(grid.r[:, None] ** 2 + grid.z[None, :] ** 2) / 2.0)
-    return Field(grid, values=vals, real=True, even_z=True)
+    return Field(grid, values=vals, real=True)
 
 
 # -- Nehari projection --------------------------------------------------------
@@ -414,7 +414,7 @@ def test_translation_direction_in_kernel(state_near_p4):
     res = state_near_p4
     g = res.u.grid
     dz_coeffs = res.u.coeffs * (1j * g.xi[None, :])
-    dz_u = Field(g, coeffs=dz_coeffs, real=True, even_z=False)
+    dz_u = Field(g, coeffs=dz_coeffs, real=True)
     assert np.linalg.norm(_full_hessian(res, dz_u)) <= 1e-6 * dz_u.l2_norm()
 
 
@@ -440,7 +440,7 @@ def test_chi_near_limit_profile(state_near_p4):
         g = chi_w.grid
         e1 = np.exp(-g.r**2 / 2.0) / np.sqrt(np.pi)
         model = np.outer(e1, sol(g.z) / (2.0 - p) - 0.5 * g.z * sol.derivative(g.z))
-        return h_distance(chi_w, Field(g, values=model, real=True, even_z=True),
+        return h_distance(chi_w, Field(g, values=model, real=True),
                           relative=True)
 
     coarse = solve_ground_state(ModelParams(p=p, lam=LAMBDA0 - 0.1), init="near")
@@ -465,7 +465,7 @@ def test_chi_far_limit_profile(state_far_p4, shot3d_p4):
     v = shot3d_p4(rad)
     dv = shot3d_p4.derivative(rad)
     model = v / (2.0 - p) - 0.5 * rad * dv
-    ref = Field(g, values=model, real=True, even_z=True)
+    ref = Field(g, values=model, real=True)
     assert h1_distance(chi_v, ref, relative=True) <= 0.05
 
 
