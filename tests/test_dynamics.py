@@ -205,16 +205,23 @@ def test_perturbation_shapes_and_amplitude(stable_state):
         assert np.abs(pert.values - pert.values[:, flip]).max() <= 1e-12 * np.abs(pert.values).max()
 
 
+@pytest.mark.parametrize("sector", ["symmetric", "full"])
 @pytest.mark.parametrize("shape", PERTURBATION_SHAPES)
-def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape):
+def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape, sector):
     """The perturbation added to the start is the real field its values
-    describe: its coefficients are those of their real part.  A
-    real-flagged field with non-Hermitian coefficients would start the run
-    from an imaginary, odd part."""
+    describe, for a start on either grid: its coefficients are those of
+    their real part.  A real-flagged field with non-Hermitian coefficients
+    would start the full grid from an imaginary, odd part.  The full-grid
+    start perturbs the ground state shifted by whole nodes, which is not
+    even."""
     u = stable_state.u
     g = u.grid
+    if sector == "full":
+        u = Field(g, values=np.roll(u.values, 7, axis=1), real=True)
     cfg = EvolutionConfig(perturbation=0.01, shape=shape, seed=3)
-    pert = perturbed_state(u, cfg).coeffs - u.coeffs
+    psi0 = perturbed_state(u, cfg)
+    assert psi0.even_z is (sector == "symmetric")
+    pert = psi0.coeffs - u.coeffs
     real_part = g.to_coeffs(g.from_coeffs(pert).real)
     assert np.abs(real_part - pert).max() <= 1e-12 * np.abs(pert).max()
 
