@@ -18,8 +18,7 @@ from .functionals import FunctionalReport, gradient, pohozaev_residual, report, 
 from .ground_state import (GroundStateResult, Resolution, SolverOptions,
                            linearized_smallest_eigs, nehari_scale, solve_chi,
                            solve_ground_state)
-from .limits import (ShotProfile, Soliton1D, reference_profile,
-                     shoot_1d, shoot_3d, soliton_1d)
+from .limits import ShotProfile, Soliton1D, shoot_1d, shoot_3d, soliton_1d
 from .scaling import ScalingReport, from_v, from_w, scaling_report, to_v, to_w
 from .branch import (BranchCurve, MassPair, asymptotic_constants, find_mass_pair,
                      mass_sup_scan, sweep)
@@ -31,8 +30,7 @@ __all__ = [
     "FunctionalReport", "gradient", "pohozaev_residual", "report", "scaled_actions",
     "GroundStateResult", "Resolution", "SolverOptions",
     "linearized_smallest_eigs", "nehari_scale", "solve_chi", "solve_ground_state",
-    "ShotProfile", "Soliton1D", "reference_profile",
-    "shoot_1d", "shoot_3d", "soliton_1d",
+    "ShotProfile", "Soliton1D", "shoot_1d", "shoot_3d", "soliton_1d",
     "ScalingReport", "from_v", "from_w", "scaling_report", "to_v", "to_w",
     "BranchCurve", "MassPair", "asymptotic_constants", "find_mass_pair",
     "mass_sup_scan", "sweep",

@@ -21,7 +21,7 @@ import numpy as np
 from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
                      MassTooLarge, NearSingular, NotConverged)
-from .ground_state import (FAR_SWITCH, GroundStateResult, Resolution, SolverOptions,
+from .ground_state import (GroundStateResult, Resolution, SolverOptions,
                            linearized_smallest_eigs, solve_chi, solve_ground_state)
 from .limits import shoot_3d, soliton_1d
 
@@ -317,8 +317,6 @@ def _mass_at(p, lam, resolution, opts, warm):
     init = None
     if warm[0] is not None and _warm_ok(warm[0].params.lam, lam):
         init = warm[0].u
-    elif lam <= FAR_SWITCH or LAMBDA0 - lam < 1.0:
-        init = "far" if lam <= FAR_SWITCH else "near"
     res = solve_ground_state(ModelParams(p=p, lam=lam), init=init,
                              resolution=resolution, opts=opts)
     warm[0] = res

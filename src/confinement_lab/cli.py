@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="one ground state at a fixed frequency")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--init", choices=["near", "far", "gaussian", "auto"], default="auto")
     _add_common(sp)
 
     sp = sub.add_parser("sweep", help="trace the branch over a frequency grid")
@@ -153,8 +152,7 @@ def _prep(args):
 def cmd_solve(args) -> int:
     res, opts = _prep(args)
     params = ModelParams(p=args.p, lam=args.lam)
-    init = None if args.init == "auto" else args.init
-    result = solve_ground_state(params, init=init, resolution=res, opts=opts)
+    result = solve_ground_state(params, resolution=res, opts=opts)
     rep = report(result.u, params)
     sample = analyze_sample(result, resolution=res, opts=opts)
     save_field(result.u, args.outdir / "u", p=args.p, lam=args.lam)

@@ -51,10 +51,6 @@ class BisectionStalled(ConfinementLabError):
     """Shooting root find could not establish its bracket or converge."""
 
 
-class RegimeMismatch(ConfinementLabError):
-    """Requested asymptotic reference is outside its regime of validity."""
-
-
 class TailNotResolved(ConfinementLabError):
     """A rescaled field carries non-negligible content outside the target box."""
 

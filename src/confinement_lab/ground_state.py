@@ -9,7 +9,8 @@ the exact inverse of the linear part: a diagonal divide on the unit grid,
 fast diagonalization of its radial block on the others (precond).  The
 Barzilai-Borwein step length is measured in the linear part's metric,
 which makes the descent covariant under these rescalings, so the narrow
-far states cost no more iterations than the O(1) ones.
+far states cost no more iterations than the O(1) ones, and a cold solve
+needs one start: the isotropic Gaussian at the grid's own radial scale.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
@@ -36,7 +37,6 @@ from .core import Field, ModelParams
 from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
                      NotCoercive, NotConverged, ZeroField)
 from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, build
-from .limits import reference_profile, soliton_1d, planar_ground_mode
 from .scaling import resample
 
 # At and below this frequency the grid takes the free-soliton scale |lambda|^{-1/2}.
@@ -353,83 +353,41 @@ def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Disc
                  omega=omega, oversample=resolution.oversample)
 
 
-def _starts(params: ModelParams, grid: Discretization) -> dict[str, Callable[[], np.ndarray]]:
-    """Builders of the even-sector start coefficients, by name; a start is
-    built only when it is tried."""
-    z = grid.half_values(grid.z)   # only even functions of z are sampled
-
-    def reference(regime):
-        return lambda: grid.to_even(
-            grid.half_values(reference_profile(params, regime, grid).values))
-
-    out = {}
-    if params.tau < 1.0:
-        out["near"] = reference("near")
-    elif params.lam > FAR_SWITCH:
-        # factorized guess without the tau-rescale
-        out["near"] = lambda: grid.to_even(np.outer(planar_ground_mode(grid),
-                                                    soliton_1d(params.p)(z)))
-    if params.lam < 0:
-        out["far"] = reference("far")
-    # isotropic Gaussian at the grid's own radial scale
-    out["gaussian"] = lambda: grid.to_even(
-        np.exp(-grid.omega * (grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
-    return out
-
-
-def solve_ground_state(params: ModelParams, init: Field | str | None = None,
+def solve_ground_state(params: ModelParams, init: Field | None = None,
                        resolution: Resolution = Resolution(),
                        opts: SolverOptions = SolverOptions(),
                        grid: Discretization | None = None) -> GroundStateResult:
     """Compute the positive, even-in-z ground state at the given frequency.
 
-    With init=None a small multi-start sweep runs (asymptotic references
-    plus an isotropic Gaussian) and the least-action converged candidate
-    wins, actions within 1e-12 relative counting as tied and going to the
-    start with fewer iterations; pass a Field or one of
-    "near"/"far"/"gaussian" to pin the start.
+    With init=None the solve starts from the isotropic Gaussian
+    exp(-omega (r^2 + z^2) / 2) at the grid's own radial scale; a Field
+    start is resampled onto the grid if needed and reduced to its even
+    sector.  One start is run: a start of (numerically) zero mass raises
+    CollapsedToZero, one that does not converge or lands on a
+    sign-changing state NotConverged.
     """
     if grid is None:
         grid = grid_for(params, resolution)
-    prob = StationaryProblem(grid, params.p, params.lam)
-
-    if isinstance(init, Field):
+    if init is None:
+        z = grid.half_values(grid.z)   # only even functions of z are sampled
+        c0 = grid.to_even(np.exp(-grid.omega * (grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
+    else:
         if not init.grid.compatible(grid):
             init = resample(init, grid, check_tail=False)
-        c_init = grid.reduce_even(init.coeffs)
-        if float(np.sum(c_init ** 2)) < COLLAPSE_MASS:
-            raise ZeroField("init field is zero after symmetrization")
-        starts = [lambda: c_init]
-    elif isinstance(init, str):
-        cands = _starts(params, grid)
-        if init not in cands:
-            raise ValueError(f"start {init!r} unavailable here (have {sorted(cands)})")
-        starts = [cands[init]]
-    else:
-        starts = list(_starts(params, grid).values())
-
-    best = None
-    for start in starts:
-        c0 = start()
-        try:
-            res = iterate_ground_state(prob, c0, opts)
-        except (CollapsedToZero, ZeroField):
-            continue
-        tie = 1e-12 * abs(res.action)
-        if res.converged and (best is None or res.action < best.action - tie or (
-                res.action <= best.action + tie and res.iterations < best.iterations)):
-            best = res
-    if best is None:
-        raise NotConverged(opts.max_iter, np.nan, what="ground state")
+        c0 = grid.reduce_even(init.coeffs)
+    res = iterate_ground_state(StationaryProblem(grid, params.p, params.lam), c0, opts)
+    if not res.converged:
+        raise NotConverged(res.iterations, res.gradient_norm, what="ground state")
     # positivity up to discretization noise: exponential tails in a
-    # Gaussian-weighted basis ring at the level of the radial spectral
-    # tail, so the floor is measured rather than fixed
-    values, coeffs = best.u.values, best.u.coeffs
-    tail = float(np.linalg.norm(coeffs[-4:, :]) / np.linalg.norm(coeffs))
+    # Gaussian-weighted basis ring at the level of the spectral tail, so the
+    # floor is measured rather than fixed: the larger of the four highest
+    # radial modes and the four highest axial wavenumbers
+    values, c = res.u.values, grid.reduce_even(res.u.coeffs)
+    tail = float(max(np.linalg.norm(c[-4:, :]), np.linalg.norm(c[:, -4:])) / np.linalg.norm(c))
     if not float(values.min()) >= -max(1e-8, tail) * float(np.abs(values).max()):
-        raise NotConverged(best.iterations, best.gradient_norm,
+        raise NotConverged(res.iterations, res.gradient_norm,
                            what="ground state (converged to a sign-changing state)")
-    return best
+    return res
 
 
 # -- linearization at a ground state ---------------------------------------------

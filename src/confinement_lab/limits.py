@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Field, ModelParams
-from .errors import BisectionStalled, RegimeMismatch
+from .core import Field
+from .errors import BisectionStalled
 from .grid import Discretization
 
 if TYPE_CHECKING:
@@ -266,38 +266,11 @@ def shoot_3d(p: float, rtol: float = 1e-12) -> ShotProfile:
     return _profile_from_amplitude(p, a_star, 3, rtol)
 
 
-# -- reference profiles on the 3D grid ------------------------------------------
+# -- limit profiles on the 3D grid ----------------------------------------------
 
 def planar_ground_mode(grid: Discretization) -> np.ndarray:
     """Nodal values of the normalized planar Gaussian mode pi^{-1/2} e^{-r^2/2}."""
     return np.exp(-grid.r**2 / 2.0) / np.sqrt(np.pi)
-
-
-def reference_profile(params: ModelParams, regime: str, grid: Discretization,
-                      profile_3d: ShotProfile | None = None) -> Field:
-    """Assemble an asymptotic guess for the ground state in physical variables.
-
-    far:  |lambda|^{1/(p-2)} * vtilde(sqrt(|lambda|) |x|)   (needs lambda < 0)
-    near: tau^{1/(p-2)} * e1(y) * what(sqrt(tau) z)         (needs tau < 1)
-    """
-    p = params.p
-    if regime == "far":
-        if params.lam >= 0:
-            raise RegimeMismatch("far-regime reference needs lambda < 0")
-        prof = profile_3d if profile_3d is not None else shoot_3d(p, rtol=1e-10)
-        s = np.sqrt(-params.lam)
-        rad = np.sqrt(grid.r[:, None] ** 2 + grid.z[None, :] ** 2)
-        vals = (-params.lam) ** (1.0 / (p - 2.0)) * prof(s * rad)
-    elif regime == "near":
-        tau = params.tau
-        if not tau < 1.0:
-            raise RegimeMismatch(f"near-regime reference needs tau < 1, got {tau}")
-        sol = soliton_1d(p)
-        vals = (tau ** (1.0 / (p - 2.0))
-                * np.outer(planar_ground_mode(grid), sol(np.sqrt(tau) * grid.z)))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return Field(grid, values=vals, real=True)
 
 
 def near_limit_field(p: float, grid: Discretization) -> Field:

@@ -39,7 +39,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
     warm = None
     for lam in lambdas:
         params = ModelParams(p=p, lam=lam)
-        res = solve_ground_state(params, init=warm.u if warm else "far",
+        res = solve_ground_state(params, init=warm.u if warm else None,
                                  resolution=resolution, opts=opts)
         warm = res
         vfield = to_v(res.u, lam, p)
@@ -70,7 +70,7 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     for tau in taus:
         lam = LAMBDA0 - tau
         params = ModelParams(p=p, lam=lam)
-        res = solve_ground_state(params, init=warm.u if warm else "near",
+        res = solve_ground_state(params, init=warm.u if warm else None,
                                  resolution=resolution, opts=opts)
         warm = res
         w = to_w(res.u, lam, p)

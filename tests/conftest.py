@@ -55,16 +55,16 @@ def soliton_p4():
 @pytest.fixture(scope="session")
 def state_near_p4():
     """Converged ground state at p=4, tau=0.05 (dimension-reduction end)."""
-    return solve_ground_state(ModelParams(p=4.0, lam=1.95), init="near")
+    return solve_ground_state(ModelParams(p=4.0, lam=1.95))
 
 
 @pytest.fixture(scope="session")
 def state_far_p4():
     """Converged ground state at p=4, lambda=-40 (free-soliton end)."""
-    return solve_ground_state(ModelParams(p=4.0, lam=-40.0), init="far")
+    return solve_ground_state(ModelParams(p=4.0, lam=-40.0))
 
 
 @pytest.fixture(scope="session")
 def state_mid_p4():
     """Converged ground state at p=4, lambda=0 on the default grid."""
-    return solve_ground_state(ModelParams(p=4.0, lam=0.0), init="gaussian")
+    return solve_ground_state(ModelParams(p=4.0, lam=0.0))

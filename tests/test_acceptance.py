@@ -42,7 +42,7 @@ def near_sequence_p4():
     warm = None
     for tau in (0.2, 0.1, 0.05):
         res = solve_ground_state(ModelParams(p=4.0, lam=LAMBDA0 - tau),
-                                 init=warm.u if warm else "near")
+                                 init=warm.u if warm else None)
         warm = res
         out[tau] = res
     return out
@@ -54,7 +54,7 @@ def far_sequence_p4():
     warm = None
     for lam in (-10.0, -20.0, -40.0):
         res = solve_ground_state(ModelParams(p=4.0, lam=lam),
-                                 init=warm.u if warm else "far")
+                                 init=warm.u if warm else None)
         warm = res
         out[lam] = res
     return out
@@ -66,7 +66,7 @@ def near_sequence_p103():
     warm = None
     for tau in (0.2, 0.1, 0.05):
         res = solve_ground_state(ModelParams(p=10.0 / 3.0, lam=LAMBDA0 - tau),
-                                 init=warm.u if warm else "near")
+                                 init=warm.u if warm else None)
         warm = res
         out[tau] = res
     return out
@@ -82,7 +82,7 @@ def full_sweep_p4():
 @pytest.fixture(scope="module")
 def dyn_stable():
     """Collocation-grid stable-branch state (tau = 0.2) for dynamics runs."""
-    return solve_ground_state(ModelParams(p=4.0, lam=1.8), init="near",
+    return solve_ground_state(ModelParams(p=4.0, lam=1.8),
                               resolution=Resolution(K=32, Mz=192, oversample=1))
 
 
@@ -90,7 +90,7 @@ def dyn_stable():
 def dyn_unstable():
     """Collocation-grid unstable-branch state (lambda = -10)."""
     g = build(K=64, Mz=256, Lz=12.0, oversample=1)
-    return solve_ground_state(ModelParams(p=4.0, lam=-10.0), init="far", grid=g)
+    return solve_ground_state(ModelParams(p=4.0, lam=-10.0), grid=g)
 
 
 # -- criterion 1: oscillator spectrum ----------------------------------------------

@@ -22,7 +22,7 @@ def test_solve_writes_snapshot_and_metadata(tmp_path):
     assert meta["gradient_norm"] <= 1e-9
     assert meta["stability"] in ("stable", "unstable", "undetermined")
     cfg = json.loads((out / "run_config.json").read_text())
-    assert cfg["lam"] == 1.5 and "version" in cfg
+    assert cfg["lam"] == 1.5 and "version" in cfg and "init" not in cfg
     field, header = load_field(out / "u")
     assert header["sha256"]
     assert field.values.max() > 0
@@ -101,11 +101,13 @@ def test_jobs_env_fallback(monkeypatch):
 
 
 def test_subcommands_refuse_flags_they_ignore(tmp_path):
-    """limits takes no grid or solver settings and solve no --seed: both
-    are configuration errors, and run_config.json of limits holds only
-    what limits reads."""
+    """limits takes no grid or solver settings, and solve no --seed and no
+    --init (a cold solve has one start): all are configuration errors, and
+    run_config.json of limits holds only what limits reads."""
     assert main(["limits", "--K", "16", "--outdir", str(tmp_path / "l")]) == 2
     assert main(["solve", "--lambda", "1.5", "--seed", "1", "--outdir", str(tmp_path / "s")]) == 2
+    assert main(["solve", "--lambda", "1.5", "--init", "gaussian",
+                 "--outdir", str(tmp_path / "i")]) == 2
     out = tmp_path / "lims"
     assert main(["limits", "--which", "1d", "--outdir", str(out)]) == 0
     cfg = json.loads((out / "run_config.json").read_text())
@@ -150,24 +152,24 @@ import confinement_lab
 from confinement_lab import cli
 out, tiny = sys.argv[1], ["--p", "4", "--K", "16", "--Mz", "64", "--Lz", "8"]
 print(cli.main(["solve", *tiny, "--lambda", "1.0", "--outdir", out + "/solve"]),
-      cli.main(["solve", *tiny, "--lambda", "-1", "--init", "gaussian",
-                "--outdir", out + "/pinned"]),
+      cli.main(["solve", *tiny, "--lambda", "-1", "--outdir", out + "/far"]),
+      cli.main(["sweep", *tiny, "--lambda-grid=-10,-7,1.5", "--outdir", out + "/sweep"]),
       cli.main(["evolve", *tiny, "--lambda", "1.8", "--perturbation", "0.01",
                 "--T", "0.1", "--outdir", out + "/evolve"]))
 """
 
 
 def test_solve_and_evolve_run_without_scipy(tmp_path):
-    """Importing the package, the solve and evolve commands at lambda >= 0,
-    and a solve at lambda < 0 pinned to a start other than the far-end
-    shooting one, need numpy alone: scipy is refused by an import hook in a
-    fresh interpreter."""
+    """Importing the package, the solve command on both sides of zero
+    frequency, a sweep across the far-grid switch and evolve need numpy
+    alone: scipy is refused by an import hook in a fresh interpreter."""
     src = str(Path(confinement_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path)],
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split()[-3:] == ["0", "0", "0"]
+    assert proc.stdout.split()[-4:] == ["0", "0", "0", "0"]
     assert (tmp_path / "solve" / "result.json").is_file()
-    assert (tmp_path / "pinned" / "result.json").is_file()
+    assert (tmp_path / "far" / "result.json").is_file()
+    assert (tmp_path / "sweep" / "branch.csv").is_file()
     assert (tmp_path / "evolve" / "trace.csv").is_file()

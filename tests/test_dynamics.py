@@ -15,7 +15,7 @@ from confinement_lab.ground_state import Resolution, solve_ground_state
 def stable_state():
     """Ground state at p=4, tau=0.2, solved on the collocation resolution
     so it is exactly stationary for the discrete flow."""
-    return solve_ground_state(ModelParams(p=4.0, lam=1.8), init="near",
+    return solve_ground_state(ModelParams(p=4.0, lam=1.8),
                               resolution=Resolution(K=32, Mz=192, oversample=1))
 
 

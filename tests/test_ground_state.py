@@ -4,15 +4,15 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from confinement_lab.core import LAMBDA0, Field, ModelParams
 from confinement_lab.errors import (CollapsedToZero, EigsNotConverged, NearSingular,
-                                    ZeroField)
+                                    NotConverged, ZeroField)
 from confinement_lab.functionals import pohozaev_residual, report
 from confinement_lab.grid import build
 from confinement_lab import ground_state
-from confinement_lab.ground_state import (Resolution, StationaryProblem,
+from confinement_lab.ground_state import (Resolution, SolverOptions, StationaryProblem,
                                           linearized_smallest_eigs, nehari_scale,
                                           grid_for, solve_chi, solve_ground_state)
 from confinement_lab.limits import near_limit_field, free_soliton_field, soliton_1d
-from confinement_lab.scaling import branch_derivative_to_w, to_v, to_w
+from confinement_lab.scaling import branch_derivative_to_w, from_v, from_w, to_v, to_w
 from confinement_lab.functionals import h_distance, h1_distance
 from conftest import random_band_limited, zero_field
 
@@ -118,7 +118,7 @@ def test_failed_minres_gives_no_newton_step(monkeypatch):
     """A Newton-tail MINRES solve that reports info != 0 yields no step;
     the iteration resumes descent and still converges."""
     params, resolution = ModelParams(p=4.0, lam=1.5), Resolution(K=16, Mz=64)
-    healthy = solve_ground_state(params, init="near", resolution=resolution)
+    healthy = solve_ground_state(params, resolution=resolution)
     real_minres = ground_state.minres
     calls = []
 
@@ -128,7 +128,7 @@ def test_failed_minres_gives_no_newton_step(monkeypatch):
         return x, 1
 
     monkeypatch.setattr(ground_state, "minres", failing_minres)
-    res = solve_ground_state(params, init="near", resolution=resolution)
+    res = solve_ground_state(params, resolution=resolution)
     assert calls
     assert res.converged and res.gradient_norm <= 1e-9
     # the returned (accurate) solution was not used: descent took longer
@@ -139,42 +139,65 @@ def test_failed_minres_gives_no_newton_step(monkeypatch):
 @pytest.mark.parametrize("lam", [-5.43, 0.0])
 def test_cold_solve_iterations(lam):
     """The Barzilai-Borwein length in the preconditioner's metric keeps the
-    cold multi-start solve short where the state is narrow on the unit
-    grid (lambda = -5.43) as well as where it fits it (lambda = 0)."""
+    cold solve short where the state is narrow on the unit grid (lambda =
+    -5.43) as well as where it fits it (lambda = 0)."""
     res = solve_ground_state(ModelParams(p=4.0, lam=lam))
     assert res.converged and res.iterations <= 40
 
 
-def test_multi_start_returns_least_action():
-    params = ModelParams(p=4.0, lam=1.5)
-    res_auto = solve_ground_state(params, resolution=Resolution(K=24, Mz=128))
-    res_named = solve_ground_state(params, init="near", resolution=Resolution(K=24, Mz=128))
-    assert res_auto.action <= res_named.action + 1e-9 * abs(res_named.action)
-    assert res_auto.action == pytest.approx(res_named.action, rel=1e-7)
-
-
-@pytest.mark.parametrize("second, kept", [
-    ((1.0 + 1e-13, 10), 10),    # tied action: fewer iterations wins
-    ((1.0 - 1e-13, 90), 50),    # tied action, more iterations: first is kept
-    ((1.0 - 1e-9, 90), 90),     # decisively lower action wins regardless
-])
-def test_multi_start_tie_goes_to_fewer_iterations(monkeypatch, second, kept):
-    """Candidates whose actions agree to 1e-12 relative are tied; the one
-    with fewer iterations is kept, so the reported count does not hinge on
-    roundoff in the last digits of the action."""
-    from dataclasses import replace
-    params, resolution = ModelParams(p=4.0, lam=0.5), Resolution(K=16, Mz=64)
-    grid = ground_state.grid_for(params, resolution)
-    real = ground_state.iterate_ground_state(StationaryProblem(grid, params.p, params.lam),
-                                             ground_state._starts(params, grid)["gaussian"]())
-    factor, iterations = second
-    candidates = iter([replace(real, iterations=50),
-                       replace(real, iterations=iterations, action=factor * real.action)])
-    monkeypatch.setattr(ground_state, "iterate_ground_state",
-                        lambda *args, **kwargs: next(candidates))
+@pytest.mark.parametrize("lam", [-40.0, -8.0, -2.0, 1.5, 1.95])
+@pytest.mark.parametrize("p", [3.5, 4.0, 5.0, 5.5])
+def test_default_start_matches_limit_start(p, lam):
+    """The Gaussian cold start reaches the state that the rescaled limit
+    profile reaches: the free soliton (from_v) below zero frequency, the
+    planar mode times the 1D soliton (from_w) above it."""
+    params, resolution = ModelParams(p=p, lam=lam), Resolution(K=24, Mz=256)
+    unit = build(K=resolution.K, Mz=resolution.Mz, Lz=resolution.Lz)
+    if lam < 0:
+        limit = from_v(free_soliton_field(p, unit), lam, p)
+    else:
+        limit = from_w(near_limit_field(p, unit), lam, p)
     res = solve_ground_state(params, resolution=resolution)
-    assert next(candidates, None) is None    # both starts ran
-    assert res.iterations == kept
+    ref = solve_ground_state(params, init=limit, resolution=resolution)
+    assert res.action == pytest.approx(ref.action, rel=1e-8)
+    assert res.mass == pytest.approx(ref.mass, rel=1e-8)
+
+
+def test_positivity_floor_counts_axial_tail(state_near_p4):
+    """At tau = 0.05 on K=24, Mz=128 the ground state dips to -1.1e-8 of
+    its peak: deeper than its radial coefficient tail (9.2e-9), within its
+    axial one (9.5e-6).  It is accepted, and matches the default-grid action."""
+    res = solve_ground_state(ModelParams(p=4.0, lam=1.95), resolution=Resolution(K=24, Mz=128))
+    assert res.u.values.min() < -1e-8 * res.u.values.max()
+    assert res.action == pytest.approx(state_near_p4.action, rel=1e-7)
+
+
+def test_sign_changing_state_refused(monkeypatch):
+    """A converged state that changes sign well above its spectral tail is
+    not a ground state."""
+    from dataclasses import replace
+    real = ground_state.iterate_ground_state
+
+    def sign_changing(problem, *args, **kwargs):
+        res = real(problem, *args, **kwargs)
+        g = problem.grid
+        coeffs = np.zeros((g.K, g.Mz))
+        coeffs[0, 0], coeffs[1, 0] = 1.0, 2.0    # phi_0 + 2 phi_1, constant in z
+        return replace(res, u=Field(g, coeffs=coeffs, real=True))
+
+    monkeypatch.setattr(ground_state, "iterate_ground_state", sign_changing)
+    with pytest.raises(NotConverged, match="sign-changing"):
+        solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=Resolution(K=16, Mz=64))
+
+
+def test_unconverged_start_reports_its_counts():
+    """A start that runs out of iterations raises NotConverged with its own
+    iteration count and gradient norm."""
+    with pytest.raises(NotConverged) as exc:
+        solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=Resolution(K=16, Mz=64),
+                           opts=SolverOptions(max_iter=1))
+    assert exc.value.iterations == 1
+    assert np.isfinite(exc.value.last_residual) and exc.value.last_residual > 1e-9
 
 
 # -- linearization at a ground state ----------------------------------------------
@@ -443,7 +466,7 @@ def test_chi_near_limit_profile(state_near_p4):
         return h_distance(chi_w, Field(g, values=model, real=True),
                           relative=True)
 
-    coarse = solve_ground_state(ModelParams(p=p, lam=LAMBDA0 - 0.1), init="near")
+    coarse = solve_ground_state(ModelParams(p=p, lam=LAMBDA0 - 0.1))
     d_coarse = chi_distance(coarse)
     d_fine = chi_distance(state_near_p4)
     assert d_fine < d_coarse
@@ -550,7 +573,7 @@ def test_weak_trap_levels_decrease_toward_limit(shot3d_p4):
     p = 4.0
     levels = {}
     for lam in (-2.0, -4.0):
-        res = solve_ground_state(ModelParams(p=p, lam=lam), init="far")
+        res = solve_ground_state(ModelParams(p=p, lam=lam))
         levels[1.0 / lam**2] = action_factor_weak_trap(p, lam) * res.action
     # free level from the shot profile: (1/2 - 1/p) * int v^p over R^3
     rr = np.linspace(0.0, 25.0, 40001)
@@ -569,7 +592,7 @@ def test_stretched_levels_bounded_by_limit(state_near_p4):
     sol = soliton_1d(p)
     level0 = (p - 2.0) / (2.0 * p) * (sol.grad_sq + sol.mass)
     for res in (state_near_p4,
-                solve_ground_state(ModelParams(p=p, lam=1.0), init="near")):
+                solve_ground_state(ModelParams(p=p, lam=1.0))):
         tau = LAMBDA0 - res.params.lam
         level_tau = action_factor_stretched(p, tau) * res.action
         assert level_tau <= level0 * (1.0 + 1e-9)

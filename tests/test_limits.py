@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from confinement_lab import limits
-from confinement_lab.core import ModelParams
-from confinement_lab.errors import BisectionStalled, RegimeMismatch
-from confinement_lab.grid import build
-from confinement_lab.limits import (planar_ground_mode, reference_profile,
-                                    shoot_1d, shoot_3d, soliton_1d)
+from confinement_lab.errors import BisectionStalled
+from confinement_lab.limits import planar_ground_mode, shoot_1d, shoot_3d, soliton_1d
 
 
 @pytest.mark.parametrize("p", [3.0, 10.0 / 3.0, 4.0, 5.0])
@@ -88,27 +85,6 @@ def test_second_moment_of_ground_mode(small_grid):
     # combined limit constant sqrt(moment * int w^2) at p=4: sqrt(8 pi)
     c0 = np.sqrt(moment * soliton_1d(4.0).mass)
     assert c0 == pytest.approx(np.sqrt(8.0 * np.pi), rel=1e-9)
-
-
-def test_reference_profiles(shot3d_p4):
-    # far guess on a basis matched to its radial scale; interpolate to the origin
-    g = build(K=32, Mz=128, Lz=16.0 / np.sqrt(40.0), omega=40.0)
-    far = reference_profile(ModelParams(p=4.0, lam=-40.0), "far", g, profile_3d=shot3d_p4)
-    peak = float(g.evaluate(far.coeffs, np.array([0.0]), np.array([0.0]))[0, 0].real)
-    assert peak == pytest.approx(np.sqrt(40.0) * 4.3374, rel=0.02)
-
-    gn = build(K=32, Mz=128, Lz=16.0 / np.sqrt(0.05))
-    near = reference_profile(ModelParams(p=4.0, lam=1.95), "near", gn)
-    # axial section proportional to sech(sqrt(tau) z)
-    sec = near.values[0, :]
-    model = 1.0 / np.cosh(np.sqrt(0.05) * gn.z)
-    ratio = sec / sec.max()
-    assert np.abs(ratio - model).max() <= 1e-8
-
-    with pytest.raises(RegimeMismatch):
-        reference_profile(ModelParams(p=4.0, lam=1.0), "near", g)   # tau = 1
-    with pytest.raises(RegimeMismatch):
-        reference_profile(ModelParams(p=4.0, lam=0.5), "far", g)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 6.0, 7.0])

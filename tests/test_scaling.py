@@ -133,7 +133,7 @@ def test_picture_independence(shot3d_p4):
     lam = -8.0
     params = ModelParams(p=P, lam=lam)
     # physical route on the far grid (default for lambda <= -6)
-    res_u = solve_ground_state(params, init="far")
+    res_u = solve_ground_state(params)
     gu = res_u.u.grid
     assert gu.omega == 8.0
     # weak-trap route on the unit grid that the far grid relabels onto, to
@@ -156,7 +156,7 @@ def test_q_fraction_decreases_toward_limit(state_near_p4):
     fracs = []
     for tau in (0.2, 0.05):
         res = state_near_p4 if tau == 0.05 else solve_ground_state(
-            ModelParams(p=P, lam=LAMBDA0 - tau), init="near")
+            ModelParams(p=P, lam=LAMBDA0 - tau))
         w = to_w(res.u, res.params.lam, P)
         q = project_Q(w)
         fracs.append(q.l2_norm() / w.l2_norm())
