@@ -282,7 +282,12 @@ def _even_dct(Mz: int) -> tuple[np.ndarray, np.ndarray]:
     h, j = Mz // 2, np.arange(Mz // 2 + 1)
     wz = np.r_[1.0, np.full(h - 1, 2.0), 1.0]
     # cos(pi j k / h) with j k reduced mod 2h first, so cos sees |arg| <= 2 pi
-    inv = np.sqrt(wz)[:, None] * np.cos(np.pi / h * (np.outer(j, j) % (2 * h)))
-    fwd = np.ascontiguousarray(wz[:, None] * inv.T)
+    cos = np.cos(np.pi / h * (np.outer(j, j) % (2 * h)))
+    sqrt_wz = np.sqrt(wz)
+    inv = sqrt_wz[:, None] * cos
+    # fwd weighs coefficient k by w_k / fl(sqrt w_k), not fl(sqrt w_k) again:
+    # fl(sqrt 2)^2 = 2 (1 + 1.4e-16) would inflate every interior mode on
+    # each from_even-to_even round trip
+    fwd = wz[:, None] * (wz / sqrt_wz) * cos
     fwd.flags.writeable = inv.flags.writeable = False
     return fwd, inv

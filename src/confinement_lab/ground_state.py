@@ -6,7 +6,10 @@ variables at every frequency, on a grid whose scale follows the state
 the axial box shrinks with |lambda|, near LAMBDA0 the box stretches so the
 axial tail fits.  The descent, MINRES and LOBPCG are preconditioned with
 the exact inverse of the linear part: a diagonal divide on the unit grid,
-fast diagonalization of its radial block on the others (precond).  The
+fast diagonalization of its radial block on the others (precond).  LOBPCG
+shifts it per column by the current Ritz value theta_j, applying
+(L0 + sigma_j)^{-1} with sigma_j = max(0, -theta_j), so that it stays
+positive definite (Davidson 1975; Morgan & Scott 1986).  The
 Barzilai-Borwein step length is measured in the linear part's metric,
 which makes the descent covariant under these rescalings, so the narrow
 far states cost no more iterations than the O(1) ones, and a cold solve
@@ -92,11 +95,13 @@ class StationaryProblem:
             return self._diag[m][:, :, None]
         return (g.radial_eig[0][:, None] + g.xi[None, :m] ** 2 - self.lam)[:, :, None]
 
-    def precond(self, x: np.ndarray) -> np.ndarray:
-        """Apply the linear part's exact inverse to even-sector coefficients
-        of shape (K, Mz/2+1), (n,) or (n, k): a divide at omega = 1, else
-        a divide between two K x K GEMMs with the radial eigenvectors."""
-        g, d = self.grid, self._precond_scale
+    def precond(self, x: np.ndarray, shift: float | np.ndarray = 0.0) -> np.ndarray:
+        """Apply (L0 + shift)^{-1}, L0 the linear part, exactly to even-sector
+        coefficients of shape (K, Mz/2+1), (n,) or (n, k): a divide at
+        omega = 1, else a divide between two K x K GEMMs with the radial
+        eigenvectors.  shift is a scalar or, on (n, k) blocks, one
+        non-negative value per column."""
+        g, d = self.grid, self._precond_scale + shift
         blocks = (g.K, d.shape[1], -1)
         if g.omega == 1.0:
             return (x.reshape(blocks) / d).reshape(x.shape)
@@ -407,8 +412,12 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
            maxiter: int = 800) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenpairs of the symmetric A by block LOBPCG (Knyazev 2001),
     one per column of the start X: Rayleigh-Ritz on the orthonormal basis
-    [X, P, W], W = M R, with one A apply (to W) per iteration; raises
-    EigsNotConverged unless every ||A x - theta x|| <= LOBPCG_TOL by maxiter."""
+    [X, P, W], W = M(R, shifts), with one A apply (to W) per iteration;
+    raises EigsNotConverged unless every ||A x - theta x|| <= LOBPCG_TOL by
+    maxiter.  M(R, shifts) is called on the residuals R of the active
+    columns with shifts[j] = max(0, -theta_j) >= 0 from column j's current
+    Ritz value, and must be positive definite for every such shift
+    (StationaryProblem.precond applies (L0 + shifts[j])^{-1} to column j)."""
     N, n = X.shape
     S = np.empty((N, 3 * n), order="F")
     AS = np.empty_like(S)
@@ -433,7 +442,7 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
             return vals[:n], S[:, :n].copy()
         if it < maxiter:
             k = n + p + int(active.sum())
-            S[:, n + p:k] = M(R[:, active])
+            S[:, n + p:k] = M(R[:, active], np.maximum(0.0, -vals[:n][active]))
             _orthonormalize(S, n + p, k)
             AS[:, n + p:k] = A.matmat(S[:, n + p:k])
     raise EigsNotConverged(f"LOBPCG residual {rnorm.max():.2e} after {maxiter} iterations")

@@ -12,7 +12,8 @@ import numpy as np
 from .core import LAMBDA0, ModelParams
 from .errors import NotConverged
 from .functionals import h1_distance, h_distance, quadratic_parts, report
-from .ground_state import Resolution, SolverOptions, solve_ground_state
+from .ground_state import (Resolution, SolverOptions, linearized_smallest_eigs,
+                           solve_ground_state)
 from .branch import (analyze_sample, default_lambda_grid, mass_sup_scan,
                      slope_prefactor_far, slope_prefactor_near, sweep)
 from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
@@ -124,29 +125,34 @@ def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions(),
 
 
 def check_slopes(p: float, resolution=Resolution(), opts=SolverOptions()) -> dict:
-    """Slope signs at both ends, slope estimator cross-validation, and the
-    sign of the analytic tail prefactors."""
+    """Slope signs at both ends, slope estimator cross-validation, the sign
+    of the analytic tail prefactors, and the slope criterion's hypothesis:
+    exactly one negative sector eigenvalue (Morse index one)."""
     rows = []
     for lam in (LAM_FAR, LAMBDA0 - TAU_NEAR):
         params = ModelParams(p=p, lam=lam)
         res = solve_ground_state(params, resolution=resolution, opts=opts)
-        sample = analyze_sample(res, compute_fd=True, compute_eig=True,
+        sample = analyze_sample(res, compute_fd=True, compute_eig=False,
                                 resolution=resolution, opts=opts)
+        eigs = linearized_smallest_eigs(res.problem, res.u.values, n=2)
+        eig_min, eig_second = eigs[0][0], eigs[1][0]
         agree = abs(sample.slope_chi - sample.slope_fd) <= max(
             0.01 * abs(sample.slope_fd), 1e-6)
         rows.append({"lambda": lam, "slope_chi": sample.slope_chi,
                      "slope_fd": sample.slope_fd, "agree": bool(agree),
-                     "eig_min": sample.eig_min, "stability": sample.stability})
+                     "eig_min": eig_min, "eig_second": eig_second,
+                     "stability": sample.stability})
     pref_far = slope_prefactor_far(p)
     pref_near = slope_prefactor_near(p)
     signs_ok = rows[0]["slope_chi"] > 0 and rows[1]["slope_chi"] < 0
     pref_ok = (np.sign(pref_far) == np.sign(rows[0]["slope_chi"])
                and np.sign(pref_near) == np.sign(rows[1]["slope_chi"]))
-    ok = signs_ok and pref_ok and all(r["agree"] for r in rows)
+    morse_ok = all(r["eig_min"] < 0.0 <= r["eig_second"] for r in rows)
+    ok = signs_ok and pref_ok and morse_ok and all(r["agree"] for r in rows)
     return {"check": "slopes", "p": p, "rows": rows,
             "prefactor_far": pref_far, "prefactor_near": pref_near,
             "signs_ok": bool(signs_ok), "prefactors_sign_ok": bool(pref_ok),
-            "verdict": _verdict(ok)}
+            "morse_index_one": bool(morse_ok), "verdict": _verdict(ok)}
 
 
 def run_check(theorem: str, p: float, lambdas, taus,

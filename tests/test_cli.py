@@ -74,6 +74,26 @@ def test_verify_subcommand(tmp_path):
     assert cfg["tau"] == "0.2,0.1" and "lambdas" not in cfg and "jobs" not in cfg
 
 
+def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
+    """verify --theorem slopes records the two lowest sector eigenvalues of
+    each end state, and its verdict needs exactly one of them negative."""
+    from confinement_lab import verify
+    out = tmp_path / "vs"
+    assert main(["verify", "--theorem", "slopes", "--p", "4", "--outdir", str(out)]) == 0
+    verdict = json.loads((out / "verify_slopes.json").read_text())
+    assert verdict["verdict"] == "pass" and verdict["morse_index_one"] is True
+    assert all(r["eig_min"] < 0.0 < r["eig_second"] for r in verdict["rows"])
+    real = verify.linearized_smallest_eigs
+
+    def two_negative(*args, **kwargs):
+        return [(-abs(v), phi) for v, phi in real(*args, **kwargs)]
+
+    monkeypatch.setattr(verify, "linearized_smallest_eigs", two_negative)
+    verdict = verify.check_slopes(4.0)
+    assert verdict["verdict"] == "fail" and verdict["morse_index_one"] is False
+    assert verdict["signs_ok"] and all(r["agree"] for r in verdict["rows"])
+
+
 def test_evolve_subcommand(tmp_path):
     out = tmp_path / "ev"
     rc = main(["evolve", "--p", "4", "--lambda", "1.8", "--dt", "2e-3", "--T", "0.5",

@@ -252,11 +252,12 @@ def test_smallest_eigs_match_dense_reference(tiny_lin, n, monkeypatch):
 
 def test_lobpcg_applies_blocks_once_per_iteration(tiny_lin):
     """Only matmat touches the Hessian and the preconditioner sees only
-    blocks, and each iteration applies the Hessian once, to the
-    preconditioned residuals: one apply more than the preconditioner, for
-    the start block.  The search directions P keep it under 100 iterations
-    here (13-36); without them it takes 158 at the unit-grid state, 132 at
-    the far one and 35 at the free operator."""
+    blocks, with one non-negative shift per active column, and each
+    iteration applies the Hessian once, to the preconditioned residuals:
+    one apply more than the preconditioner, for the start block.  The
+    search directions P keep it under 100 iterations here (13-34); without
+    them it takes 170 at the unit-grid state, 174 at the far one and 35 at
+    the free operator."""
     calls = {"A": 0, "M": 0}
 
     class BlocksOnly(LinearOperator):
@@ -271,10 +272,11 @@ def test_lobpcg_applies_blocks_once_per_iteration(tiny_lin):
             calls["A"] += 1
             return self.op.matmat(X)
 
-    def precond(X):
+    def precond(X, shifts):
         assert X.ndim == 2
+        assert shifts.shape == (X.shape[1],) and (shifts >= 0.0).all()
         calls["M"] += 1
-        return tiny_lin[0].precond(X)
+        return tiny_lin[0].precond(X, shifts)
 
     op = _sector_op(*tiny_lin)
     X = np.random.default_rng(1).standard_normal((op.shape[0], 3))
@@ -355,9 +357,11 @@ def test_minres_reports_iteration_limit(tiny_lin):
 
 
 def test_precond_inverts_linear_part(tiny_lin):
-    """The preconditioner is the exact inverse of the densified linear part:
-    a diagonal divide at radial basis frequency 1, fast diagonalization of
-    the radial block on the far grid; on blocks and on single vectors."""
+    """The preconditioner is the exact inverse of the densified linear part
+    L0, and with a shift sigma of L0 + sigma: a diagonal divide at radial
+    basis frequency 1, fast diagonalization of the radial block on the far
+    grid; on blocks with one shift per column and on single vectors with a
+    scalar one."""
     prob = tiny_lin[0]
     g = prob.grid
     m = g.Mz // 2 + 1
@@ -365,8 +369,16 @@ def test_precond_inverts_linear_part(tiny_lin):
     eye = np.eye(n)
     lin = prob.apply_lin(eye.reshape(n, g.K, m)).reshape(n, n).T
     assert np.abs(prob.precond(eye) @ lin - eye).max() <= 1e-10
-    b = np.random.default_rng(3).standard_normal(n)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(n)
     assert np.abs(prob.precond(lin @ b) - b).max() <= 1e-10 * np.abs(b).max()
+    for sigma in (0.5, 600.0):
+        shifted = lin + sigma * eye
+        assert np.abs(prob.precond(shifted @ b, sigma) - b).max() <= 1e-10 * np.abs(b).max()
+    B = rng.standard_normal((n, 3))
+    sigmas = np.array([0.0, 3.0, 600.0])
+    AB = np.stack([(lin + s * eye) @ B[:, j] for j, s in enumerate(sigmas)], axis=1)
+    assert np.abs(prob.precond(AB, sigmas) - B).max() <= 1e-10 * np.abs(B).max()
 
 
 def test_solve_chi_iterations_on_far_grid(monkeypatch):
@@ -383,6 +395,24 @@ def test_solve_chi_iterations_on_far_grid(monkeypatch):
     monkeypatch.setattr(ground_state, "minres", counted)
     solve_chi(res)
     assert 0 < len(iters) <= 30
+
+
+def test_eigensolve_applies_on_far_grid(state_far_p4, monkeypatch):
+    """At lambda = -40 the lowest sector eigenvalue, near -612, takes few
+    block applies, because each column's preconditioner is shifted by its
+    Ritz value; with the unshifted inverse of the linear part it took 50."""
+    real_lobpcg, applies = ground_state.lobpcg, []
+
+    def counted(A, X, M, **kwargs):
+        def mm(x):
+            applies.append(1)
+            return A.matmat(x)
+        return real_lobpcg(ground_state.Operator(A.shape, A.matvec, mm), X, M, **kwargs)
+
+    monkeypatch.setattr(ground_state, "lobpcg", counted)
+    (eig, _), = linearized_smallest_eigs(state_far_p4.problem, state_far_p4.u.values, n=1)
+    assert eig < -600.0
+    assert 0 < len(applies) <= 16
 
 
 def test_minres_matches_scipy_on_solve_chi_system(state_mid_p4):
