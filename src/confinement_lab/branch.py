@@ -7,13 +7,14 @@ stable, > 0 unstable.  The slope's primary estimator solves the
 linearized equation for the frequency derivative chi = du/dlambda (one
 linear solve); centered finite differences are the cross-check.  The same
 chi is the branch tangent, so each solve along the sweep starts from the
-Euler predictor u + (lambda' - lambda) chi of the previous sample.
+Euler predictor u + (lambda' - lambda) chi of the previous sample; a
+predicted start that fails falls back to the cold start.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -177,32 +178,22 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     return curve
 
 
-REFINE_ITERS = 500      # warm solves above this trigger step halving
-REFINE_MIN_STEP = 1e-4  # stop refining the continuation step here
+REFINE_ITERS = 500      # iteration budget of a predicted solve
 
 
-def _continued_solve(p, lam, warm, tangent, resolution, opts, depth=0):
+def _continued_solve(p, lam, warm, tangent, resolution, opts):
     """Solve from the Euler predictor warm.u + (lam - warm.lam) * tangent (warm.u
-    without a tangent); when that struggles (fails or exceeds the iteration
-    budget), first solve at the midpoint from that predictor, then from the
-    bridge state alone (its grid need not match the tangent's), to |dlambda| = 1e-4."""
+    without a tangent) within REFINE_ITERS iterations; when that fails, solve
+    once more from the cold start, as the first sample of a chain does."""
     params = ModelParams(p=p, lam=lam)
-    init = warm.u if warm is not None else None
-    if tangent is not None:
-        init = init + (lam - warm.params.lam) * tangent
-    try:
-        result = solve_ground_state(params, init=init, resolution=resolution, opts=opts)
-        if result.iterations <= REFINE_ITERS or warm is None:
-            return result
-    except ConfinementLabError:
-        result = None
-    if warm is None or abs(lam - warm.params.lam) <= REFINE_MIN_STEP or depth >= 8:
-        if result is not None:
-            return result
-        return solve_ground_state(params, resolution=resolution, opts=opts)
-    mid = 0.5 * (lam + warm.params.lam)
-    bridge = _continued_solve(p, mid, warm, tangent, resolution, opts, depth + 1)
-    return _continued_solve(p, lam, bridge, None, resolution, opts, depth + 1)
+    if warm is not None:
+        init = warm.u if tangent is None else warm.u + (lam - warm.params.lam) * tangent
+        budget = replace(opts, max_iter=min(opts.max_iter, REFINE_ITERS))
+        try:
+            return solve_ground_state(params, init=init, resolution=resolution, opts=budget)
+        except ConfinementLabError:
+            pass
+    return solve_ground_state(params, resolution=resolution, opts=opts)
 
 
 def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:

@@ -166,7 +166,7 @@ def cmd_solve(args) -> int:
         "slope_chi": sample.slope_chi,
         "stability": sample.stability,
         "eig_min": sample.eig_min,
-        "functionals": rep.to_dict(),
+        "functionals": asdict(rep),
     }
     (args.outdir / "result.json").write_text(json.dumps(meta, indent=2, sort_keys=True, default=_json_default))
     print(f"lambda={args.lam:g}: action={result.action:.9g} mass={result.mass:.9g} "
@@ -243,11 +243,11 @@ def cmd_pair(args) -> int:
 
 def cmd_evolve(args) -> int:
     res, opts = _prep(args)
-    params = ModelParams(p=args.p, lam=args.lam)
-    result = solve_ground_state(params, resolution=res, opts=opts)
     cfg = EvolutionConfig(dt=args.dt, T=args.T, perturbation=args.perturbation,
                           shape=args.shape, record_every=args.record_every,
                           seed=args.seed)
+    params = ModelParams(p=args.p, lam=args.lam)
+    result = solve_ground_state(params, resolution=res, opts=opts)
     psi0 = perturbed_state(result.u, cfg)
     snap_dir = None
     if args.snapshots:

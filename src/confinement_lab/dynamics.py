@@ -76,6 +76,8 @@ class EvolutionConfig:
             raise ValueError("perturbation amplitude outside [0, 0.2]")
         if self.shape not in PERTURBATION_SHAPES:
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
+        if self.record_every < 1:
+            raise ValueError("record_every must be a positive step count")
 
 
 @dataclass

@@ -51,10 +51,6 @@ class BisectionStalled(ConfinementLabError):
     """Shooting root find could not establish its bracket or converge."""
 
 
-class TailNotResolved(ConfinementLabError):
-    """A rescaled field carries non-negligible content outside the target box."""
-
-
 class MassTooLarge(ConfinementLabError):
     """Prescribed mass exceeds what the sampled branch tails can reach."""
 

@@ -7,7 +7,7 @@ match the gradient to roundoff, not merely to quadrature accuracy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class FunctionalReport:
     lp_integral: float      # int |u|^p
     action: float           # lambda_norm_sq/2 - lp_integral/p
     nehari_residual: float  # lambda_norm_sq - lp_integral
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def quadratic_parts(u: Field) -> dict:
@@ -60,11 +57,6 @@ def report(u: Field, params: ModelParams) -> FunctionalReport:
         action=0.5 * lam_sq - lp / params.p,
         nehari_residual=lam_sq - lp,
     )
-
-
-def action(u: Field, params: ModelParams) -> float:
-    r = report(u, params)
-    return r.action
 
 
 def gradient(u: Field, params: ModelParams) -> Field:

@@ -74,7 +74,6 @@ class Discretization:
     Lz: float
     omega: float
     nr: int
-    t: np.ndarray          # Laguerre nodes in t = omega r^2, shape (nr,)
     r: np.ndarray          # radial nodes, shape (nr,)
     wrad: np.ndarray       # radial quadrature weights for int_{R^2} f dy
     z: np.ndarray          # axial nodes, shape (Mz,)
@@ -244,7 +243,7 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
         arrs += radial_eig
     for arr in arrs:
         arr.setflags(write=False)
-    return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=K * oversample, t=t, r=r,
+    return Discretization(K=K, Mz=Mz, Lz=Lz, omega=omega, nr=K * oversample, r=r,
                           wrad=wrad, z=z, dz=dz, xi=xi, osc_eigs=osc, phi=phi,
                           proj=proj, phase=phase, wz=wz, sqrt_wz=sqrt_wz, _x1=x1,
                           radial_eig=radial_eig)

@@ -378,7 +378,7 @@ def solve_ground_state(params: ModelParams, init: Field | None = None,
         c0 = grid.to_even(np.exp(-grid.omega * (grid.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
     else:
         if not init.grid.compatible(grid):
-            init = resample(init, grid, check_tail=False)
+            init = resample(init, grid)
         c0 = grid.reduce_even(init.coeffs)
     res = iterate_ground_state(StationaryProblem(grid, params.p, params.lam), c0, opts)
     if not res.converged:
@@ -449,7 +449,7 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
 
 
 def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray,
-                             n: int = 3, maxiter: int = 800):
+                             n: int, maxiter: int = 800):
     """n smallest eigenpairs of the second variation of the action at the
     real, even state with full-grid nodal values `values`, restricted to the
     symmetric sector: the linear part minus (p-1)|u|^{p-2}.

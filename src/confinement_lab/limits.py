@@ -104,7 +104,8 @@ def soliton_1d(p: float) -> Soliton1D:
 
 @dataclass
 class ShotProfile:
-    """Shooting solution: dense samples to z_splice, exponential tail beyond.
+    """Shooting solution: a cubic spline of dense samples up to `splice`,
+    exponential tail beyond.
 
     The forward problem is exponentially unstable, so samples past the
     splice point are replaced by the analytic decay model; `mass` includes
@@ -113,8 +114,6 @@ class ShotProfile:
 
     p: float
     v0: float                     # shooting parameter (peak value)
-    grid_r: np.ndarray            # sample coordinates in [0, R]
-    samples: np.ndarray
     splice: float
     dimension: int                # 1 (axial problem) or 3 (free soliton)
     mass: float
@@ -243,8 +242,7 @@ def _profile_from_amplitude(p: float, a_star: float, dimension: int,
     else:
         body = 2.0 * np.trapezoid(fv**2, fine)
         tail = 2.0 * ws**2 * 0.5
-    prof = ShotProfile(p=p, v0=a_star, grid_r=grid, samples=vals, splice=zs,
-                       dimension=dimension, mass=body + tail)
+    prof = ShotProfile(p=p, v0=a_star, splice=zs, dimension=dimension, mass=body + tail)
     prof._spline = spline
     prof._tail_value = ws
     return prof

@@ -23,15 +23,12 @@ to_v of a far ground state lands on the unit grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LAMBDA0, Field
-from .errors import TailNotResolved
 from .grid import Discretization, build
-
-TAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,6 @@ class ScalingReport:
     predicted_mass_factor: float
     observed_action_factor: float
     observed_mass_factor: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def action_factor_weak_trap(p: float, lam: float) -> float:
@@ -146,31 +140,12 @@ def branch_derivative_to_w(chi: Field, lam: float, p: float) -> Field:
                     amplitude=tau ** ((p - 3.0) / (p - 2.0)))
 
 
-def resample(field: Field, target: Discretization, check_tail: bool = True) -> Field:
-    """Spectrally evaluate `field` on the nodes of `target`.
-
-    Raises TailNotResolved when the source carries content the target box
-    cannot hold (checked through boundary values and source mass).
-    """
+def resample(field: Field, target: Discretization) -> Field:
+    """Spectrally evaluate `field` on the nodes of `target`."""
     vals = field.grid.evaluate(field.coeffs, target.r, target.z)
     if field.real:
         vals = vals.real
-    out = Field(target, values=vals, real=field.real)
-    if check_tail:
-        src_l2 = field.l2_norm()
-        if src_l2 > 0:
-            # the source expansion continues periodically past its own box, so
-            # a different target box is only legitimate if the source decays
-            # at its boundary; a same-size box only loses truncated modes
-            if target.Lz != field.grid.Lz:
-                vmax = float(np.abs(field.values).max())
-                edge = float(np.abs(field.values[:, 0]).max())
-                if edge > 1e-3 * vmax:
-                    raise TailNotResolved(f"source boundary value {edge:.2e} vs max {vmax:.2e}")
-            lost = abs(src_l2**2 - out.l2_norm() ** 2) / src_l2**2
-            if lost > np.sqrt(TAIL_TOL):
-                raise TailNotResolved(f"mass defect {lost:.2e} after resampling")
-    return out
+    return Field(target, values=vals, real=field.real)
 
 
 def scaling_report(u: Field, lam: float, p: float, picture: str) -> ScalingReport:

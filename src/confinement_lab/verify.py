@@ -7,6 +7,8 @@ fails on a verdict: thresholds for CI live in the test suite.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .core import LAMBDA0, ModelParams
@@ -35,6 +37,8 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
     """Rescaled states approach the free soliton; premultiplied mass approaches
     its squared L^2 norm."""
     lambdas = sorted(lambdas, reverse=True)        # toward -infinity
+    if not lambdas:
+        raise ValueError("far-regime check needs at least one frequency")
     prof = shoot_3d(p, rtol=1e-10)
     rows = []
     warm = None
@@ -57,7 +61,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
             "predicted_mass": prof.mass, "monotone_decreasing": monotone,
             "final_distance": dists[-1], "distance_tol": DIST_TOL,
             "mass_ok": mass_ok,
-            "scaling_report": scaling_report(warm.u, warm.params.lam, p, "v_mu").to_dict(),
+            "scaling_report": asdict(scaling_report(warm.u, warm.params.lam, p, "v_mu")),
             "verdict": _verdict(ok)}
 
 
@@ -65,6 +69,8 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
                       opts=SolverOptions()) -> dict:
     """Rescaled states factorize into (planar mode) x (1D soliton)."""
     taus = sorted(taus, reverse=True)              # toward 0+
+    if not taus:
+        raise ValueError("near-regime check needs at least one tau")
     sol = soliton_1d(p)
     rows = []
     warm = None
@@ -93,7 +99,7 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
            "predicted_mass": sol.mass, "monotone_decreasing": monotone,
            "final_distance": dists[-1], "distance_tol": DIST_TOL,
            "mass_ok": mass_ok,
-           "scaling_report": scaling_report(warm.u, warm.params.lam, p, "w_tau").to_dict()}
+           "scaling_report": asdict(scaling_report(warm.u, warm.params.lam, p, "w_tau"))}
     # mass-critical exponent: the scaled-mass limit constant sqrt(int |y|^2 e1^2 * int w^2)
     if abs(p - 10.0 / 3.0) < 1e-9:
         c0 = float(np.sqrt(sol.mass))      # int |y|^2 e1^2 dy = 1

@@ -14,8 +14,7 @@ from confinement_lab.core import LAMBDA0, Field, ModelParams
 from confinement_lab.branch import (default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_finite_difference, sweep)
 from confinement_lab.dynamics import EvolutionConfig, evolve, perturbed_state
-from confinement_lab.functionals import (action, gradient, h1_distance, h_distance,
-                                         report)
+from confinement_lab.functionals import gradient, h1_distance, h_distance, report
 from confinement_lab.grid import build
 from confinement_lab.ground_state import (Resolution, nehari_scale,
                                           solve_chi, solve_ground_state)
@@ -157,7 +156,8 @@ def test_criterion_04_gradient_consistency(rng):
         pairing = float(np.sum(gradient(u, params).coeffs.real * phi.coeffs.real))
         errs = []
         for h in (1e-3, 1e-4):
-            fd = (action(u + h * phi, params) - action(u - h * phi, params)) / (2 * h)
+            fd = (report(u + h * phi, params).action
+                  - report(u - h * phi, params).action) / (2 * h)
             errs.append(abs(fd - pairing))
         if errs[1] > 0:
             orders.append(np.log(errs[0] / errs[1]) / np.log(10.0))
@@ -179,7 +179,7 @@ def test_criterion_05_scaling_identities(rng):
         params = ModelParams(p=p, lam=lam)
         from confinement_lab.functionals import action_weak_trap
         v = to_v(u, lam, p)
-        ja = action_weak_trap(v, params.mu, p) / action(u, params)
+        ja = action_weak_trap(v, params.mu, p) / report(u, params).action
         worst = max(worst, abs(ja / action_factor_weak_trap(p, lam) - 1.0))
         worst = max(worst, abs((v.l2_norm()**2 / u.l2_norm()**2)
                                / mass_factor_weak_trap(p, lam) - 1.0))

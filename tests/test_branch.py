@@ -275,19 +275,20 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
 
 
 @pytest.mark.parametrize("chain", [[-10.0, -8.0], [1.9, 1.8]])
-def test_halving_on_lambda_dependent_grid_solves_the_sample(monkeypatch, chain):
-    """A failed predicted solve is recovered by a midpoint bridge.  In the
-    weak-trap picture (lambda <= FAR_SWITCH) and in the stretched near-tail
-    box the bridge's grid differs from the previous sample's, so the second
-    leg must start from the bridge state alone."""
+def test_failed_predicted_solve_falls_back_to_cold_start(monkeypatch, chain):
+    """A failed predicted solve is redone once from the cold start, on the
+    sample's own grid: in the weak-trap picture (lambda <= FAR_SWITCH) and
+    in the stretched near-tail box that grid differs from the previous
+    sample's."""
     from confinement_lab import branch
     from confinement_lab.errors import NotConverged
     resolution = Resolution(K=24, Mz=128)
-    real, calls = branch.solve_ground_state, []
+    real, calls, inits = branch.solve_ground_state, [], []
     first, second = chain
 
     def fail_first_predicted(params, init=None, **kwargs):
         calls.append(params.lam)
+        inits.append(init)
         if params.lam == second and calls.count(second) == 1:
             raise NotConverged(0, 1.0)
         return real(params, init=init, **kwargs)
@@ -296,6 +297,26 @@ def test_halving_on_lambda_dependent_grid_solves_the_sample(monkeypatch, chain):
     samples, failures = branch._solve_chain(
         (4.0, chain, resolution, SolverOptions(), False, False))
     assert not failures and [s.lam for s in samples] == chain
-    assert calls == [first, second, 0.5 * (first + second), second]   # one bridge
+    assert calls == [first, second, second] and inits[1] is not None and inits[-1] is None
     cold = real(ModelParams(p=4.0, lam=second), resolution=resolution)
     assert samples[1].mass == pytest.approx(cold.mass, rel=1e-8)
+
+
+def test_sweep_falls_back_to_cold_start_on_real_failures(monkeypatch):
+    """At p = 2.5 on a coarse grid some predicted starts just above the
+    far-grid switch fail on their own; each of those samples is solved
+    once more from the cold start, at its own frequency, and the sweep has
+    no failures.  No solve runs between samples: apart from the samples,
+    only a finite-difference slope's pair at +-FD_DELTA is solved."""
+    from confinement_lab.branch import FD_DELTA
+    resolution = Resolution(K=24, Mz=128)
+    starts = _recorded_starts(monkeypatch)
+    curve = sweep(2.5, resolution=resolution, compute_eig=False)
+    assert not curve.failures
+    lams = list(curve.lambdas())
+    assert lams == list(default_lambda_grid())
+    offsets = [min(abs(lam - s) for s in lams) for lam, _ in starts]
+    assert all(d == 0.0 or d == pytest.approx(FD_DELTA, rel=1e-9) for d in offsets)
+    by_lam = {lam: [init is None for at, init in starts if at == lam] for lam in lams}
+    assert all(cold in ([True], [False], [False, True]) for cold in by_lam.values())
+    assert any(cold == [False, True] for cold in by_lam.values())

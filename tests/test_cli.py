@@ -153,6 +153,18 @@ def test_verify_and_sweep_refuse_settings_their_run_ignores(tmp_path):
     assert cfg["lambda_grid"] == "1.5" and "lambda_min" not in cfg and "tau_min" not in cfg
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--lambda", "1.8", "--T", "0.01", "--record-every", "0"],
+    ["evolve", "--lambda", "1.8", "--T", "0.01", "--record-every", "-3"],
+    ["verify", "--theorem", "1.3", "--lambdas="],
+    ["verify", "--theorem", "A.3", "--tau=,"]])
+def test_empty_or_nonpositive_settings_are_config_errors(tmp_path, argv):
+    """A record interval below one step and an empty frequency list for
+    theorem 1.3 or A.3 exit 2 with a message, not with a traceback."""
+    tiny = ["--p", "4", "--K", "16", "--Mz", "64", "--Lz", "8"]
+    assert main([*argv, *tiny, "--outdir", str(tmp_path / "x")]) == 2
+
+
 def test_evolve_has_no_sector_setting(tmp_path):
     """The start's measured evenness picks the grid: --sector is refused."""
     assert main(["evolve", "--lambda", "1.8", "--sector", "full",

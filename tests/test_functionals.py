@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from confinement_lab.core import Field, ModelParams
-from confinement_lab.functionals import (action, gradient, pohozaev_residual,
-                                         report, scaled_actions)
+from confinement_lab.functionals import gradient, pohozaev_residual, report, scaled_actions
 from confinement_lab.grid import build
 from conftest import random_band_limited, zero_field
 
@@ -69,7 +68,8 @@ def test_gradient_matches_finite_differences(medium_grid, rng, h_pair):
         pairing = float(np.sum(gu.coeffs.real * phi.coeffs.real))
         errs = []
         for h in h_pair:
-            fd = (action(u + h * phi, params) - action(u - h * phi, params)) / (2 * h)
+            fd = (report(u + h * phi, params).action
+                  - report(u - h * phi, params).action) / (2 * h)
             errs.append(abs(fd - pairing))
         if errs[1] == 0.0:
             continue
@@ -101,7 +101,7 @@ def test_nehari_scale_unimodal_action(medium_grid, rng):
     u = random_band_limited(medium_grid, rng)
     t_star, _ = nehari_scale(u, params)
     ts = np.linspace(0.05, 3.0, 40) * t_star
-    vals = [action(float(t) * u, params) for t in ts]
+    vals = [report(float(t) * u, params).action for t in ts]
     dv = np.diff(vals)
     before = ts[1:] < t_star
     assert all(d > 0 for d in dv[before[: len(dv)]])

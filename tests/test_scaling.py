@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from confinement_lab.core import LAMBDA0, ModelParams, project_Q
-from confinement_lab.errors import TailNotResolved
-from confinement_lab.functionals import (action, action_stiff_plane, action_weak_trap,
+from confinement_lab.functionals import (action_stiff_plane, action_weak_trap,
                                          h1_distance, nehari_residual_stiff_plane,
                                          nehari_residual_weak_trap, report)
 from confinement_lab.grid import build
@@ -22,7 +21,7 @@ def test_weak_trap_identities(medium_grid, rng):
     for _ in range(5):
         u = random_band_limited(medium_grid, rng)
         v = to_v(u, lam, P)
-        ju = action(u, params)
+        ju = report(u, params).action
         jv = action_weak_trap(v, params.mu, P)
         assert jv == pytest.approx(action_factor_weak_trap(P, lam) * ju, rel=1e-9)
         mass_u = u.l2_norm() ** 2
@@ -37,7 +36,7 @@ def test_stretched_identities(medium_grid, rng):
     for _ in range(5):
         u = random_band_limited(medium_grid, rng)
         w = to_w(u, lam, P)
-        ju = action(u, params)
+        ju = report(u, params).action
         jw = action_stiff_plane(w, tau, P)
         assert jw == pytest.approx(action_factor_stretched(P, tau) * ju, rel=1e-9)
         assert u.l2_norm() ** 2 == pytest.approx(
@@ -99,13 +98,6 @@ def test_resample_roundtrip(medium_grid, rng):
     assert np.abs(back.values - u.values).max() <= 1e-8 * np.abs(u.values).max()
 
 
-def test_resample_tail_guard(medium_grid, rng):
-    u = random_band_limited(medium_grid, rng, m_frac=3)
-    tiny = build(K=medium_grid.K, Mz=medium_grid.Mz, Lz=medium_grid.Lz / 8.0)
-    with pytest.raises(TailNotResolved):
-        resample(u, tiny)
-
-
 def test_picture_independence(shot3d_p4):
     """Solving in physical variables on the far grid (trap-scale basis,
     tridiagonal linear algebra) and mapping agrees with solving the
@@ -144,7 +136,7 @@ def test_picture_independence(shot3d_p4):
     start = gv.reduce_even(free_soliton_field(P, gv, profile=shot3d_p4).coeffs)
     res_v = iterate_ground_state(prob_v, start, SolverOptions(tol_grad=tol))
     assert res_v.converged
-    moved = resample(to_v(res_u.u, lam, P), gv, check_tail=False)
+    moved = resample(to_v(res_u.u, lam, P), gv)
     d = h1_distance(moved, res_v.u, relative=False)
     assert d <= 1e-4
     assert res_u.mass == pytest.approx(res_v.mass / mass_factor_weak_trap(P, lam), rel=1e-6)
