@@ -179,14 +179,13 @@ class Discretization:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def evaluate(self, coeffs: np.ndarray, r_pts: np.ndarray, z_pts: np.ndarray) -> np.ndarray:
-        """Evaluate the spectral expansion on the tensor grid r_pts x z_pts."""
-        r_pts = np.atleast_1d(np.asarray(r_pts, dtype=float))
-        z_pts = np.atleast_1d(np.asarray(z_pts, dtype=float))
-        tp = self.omega * r_pts**2
-        basis_r = scaled_laguerre(tp, self.K) * np.sqrt(self.omega / np.pi)
-        ez = np.exp(1j * np.outer(z_pts, self.xi)) / np.sqrt(2.0 * self.Lz)
-        return basis_r @ coeffs @ ez.T
+    def evaluate_even(self, coeffs: np.ndarray, r_pts: np.ndarray, z_pts: np.ndarray) -> np.ndarray:
+        """Evaluate sqrt(w)-weighted even coefficients on the tensor grid
+        r_pts x z_pts: sum over k, m of c_km sqrt(w_m) phi_k(r) cos(xi_m z)
+        / sqrt(2 Lz), in real GEMMs."""
+        basis_r = scaled_laguerre(self.omega * r_pts**2, self.K) * np.sqrt(self.omega / np.pi)
+        cos = np.cos(np.outer(self.xi[: self.Mz // 2 + 1], z_pts)) / np.sqrt(2.0 * self.Lz)
+        return basis_r @ ((coeffs * self.sqrt_wz) @ cos)
 
     # -- misc ----------------------------------------------------------------
 

@@ -14,6 +14,9 @@ Barzilai-Borwein step length is measured in the linear part's metric,
 which makes the descent covariant under these rescalings, so the narrow
 far states cost no more iterations than the O(1) ones, and a cold solve
 needs one start: the isotropic Gaussian at the grid's own radial scale.
+Each functional is evaluated once per iterate: the Nehari projection
+gives the action, and one linear apply and one nonlinearity give the
+gradient, <c, L c> and int |u|^p (StationaryProblem.gradient).
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
@@ -23,7 +26,8 @@ solves all live on the grid's real even-in-z representation
 (Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
 axial translation invariance; a result is expanded to the full grid once.
 The true residuals of solve_chi and the eigenpairs are checked with the
-sector operator solved with (sqrt(w) weights make its norms L^2 norms).
+sector operator solved with (sqrt(w) weights make its norms L^2 norms);
+solve_chi refines once on the true residual before it gives up.
 MINRES and LOBPCG are in-repo; this module loads scipy only for ARPACK (eigsh).
 """
 
@@ -109,14 +113,10 @@ class StationaryProblem:
         y = (s.T @ x.reshape(g.K, -1)).reshape(blocks) / d
         return (s @ y.reshape(g.K, -1)).reshape(x.shape)
 
-    def gradient_coeffs(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.apply_lin(coeffs) - self.grid.to_even(np.abs(values) ** (self.p - 2.0) * values)
-
-    def lp_integral(self, values: np.ndarray) -> float:
-        return float(self.grid.quad_even(np.abs(values) ** self.p))
-
-    def action_value(self, coeffs: np.ndarray, values: np.ndarray) -> float:
-        return 0.5 * self.quadform_lin(coeffs) - self.lp_integral(values) / self.p
+    def gradient(self, coeffs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The action gradient L c - |u|^{p-2}u, <c, L c> and int |u|^p."""
+        lc, nl = self.apply_lin(coeffs), np.abs(values) ** (self.p - 2.0) * values
+        return lc - self.grid.to_even(nl), float(np.sum(coeffs * lc)), float(self.grid.quad_even(nl * values))
 
 
 # -- core iteration --------------------------------------------------------------
@@ -146,9 +146,11 @@ def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
 
 
 def _project(problem, coeffs):
-    values = problem.grid.from_even(coeffs)
-    t = nehari_scale_t(problem, problem.quadform_lin(coeffs), problem.lp_integral(values))
-    return t * coeffs, t * values
+    """t*coeffs on the Nehari set, its half-grid values and its action,
+    which there is (1/2 - 1/p) t^2 <c, L c>."""
+    values, quad = problem.grid.from_even(coeffs), problem.quadform_lin(coeffs)
+    t = nehari_scale_t(problem, quad, float(problem.grid.quad_even(np.abs(values) ** problem.p)))
+    return t * coeffs, t * values, (0.5 - 1.0 / problem.p) * t * t * quad
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,9 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
     c = np.array(coeffs0, dtype=float)
     if float(np.sum(c * c)) < COLLAPSE_MASS:
         raise CollapsedToZero("initial iterate has (numerically) zero mass")
-    c, un = _project(problem, c)
-    J = problem.action_value(c, un)
+    c, un, J = _project(problem, c)
     actions = [J]
+    state = problem.gradient(c, un)   # (grad, quad, lp) of c
     alpha = 1.0
     prev_c = prev_grad = None
     it = 0
@@ -247,10 +249,8 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
 
     while True:
         it += 1
-        grad = problem.gradient_coeffs(c, un)
+        grad, quad, lp = state
         gn = float(np.sqrt(np.sum(grad * grad)))
-        lp = problem.lp_integral(un)
-        quad = problem.quadform_lin(c)
         res = quad - lp
         converged = gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300)
         if converged or it > opts.max_iter:
@@ -276,14 +276,13 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
             ok = False
             for _ in range(8 if info == 0 else 0):   # a failed solve gives no step
                 try:
-                    c_try, un_try = _project(problem, c - step)
+                    c_try, un_try, J_try = _project(problem, c - step)
                 except ZeroField:
                     step = 0.5 * step
                     continue
-                grad_try = problem.gradient_coeffs(c_try, un_try)
-                if float(np.sqrt(np.sum(grad_try * grad_try))) < gn:
-                    c, un = c_try, un_try
-                    J = problem.action_value(c, un)
+                trial = problem.gradient(c_try, un_try)
+                if float(np.sqrt(np.sum(trial[0] * trial[0]))) < gn:
+                    c, un, J, state = c_try, un_try, J_try, trial
                     ok = True
                     break
                 step = 0.5 * step
@@ -309,8 +308,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         accepted = False
         a = alpha
         for _ in range(50):
-            c_try, un_try = _project(problem, c - a * direction)
-            J_try = problem.action_value(c_try, un_try)
+            c_try, un_try, J_try = _project(problem, c - a * direction)
             if J_try <= J + 1e-12 * abs(J):
                 accepted = True
                 break
@@ -319,6 +317,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
             mode = "newton"   # descent exhausted at this scale
             continue
         c, un, J = c_try, un_try, J_try
+        state = problem.gradient(c, un)
         actions.append(J)
 
     coeffs, values = problem.grid.expand_even(c, un)
@@ -495,8 +494,12 @@ def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
     op = _sector_hessian(result.problem, g.half_values(result.u.values))
     rhs = g.reduce_even(result.u.coeffs).ravel()
     x, info = minres(op, rhs, M=result.problem.precond, rtol=rtol, maxiter=maxiter)
-    resid = float(np.linalg.norm(op.matvec(x) - rhs))
-    if resid > 1e-8 * np.linalg.norm(rhs):
+    bound, r = 1e-8 * np.linalg.norm(rhs), rhs - op.matvec(x)
+    if np.linalg.norm(r) > bound:   # MINRES stops on a preconditioned estimate; refine once
+        x = x + minres(op, r, M=result.problem.precond, rtol=rtol, maxiter=maxiter)[0]
+        r = rhs - op.matvec(x)
+    resid = float(np.linalg.norm(r))
+    if resid > bound:
         raise NearSingular(f"linearized solve residual {resid:.2e} (info={info})")
     chi = Field(g, coeffs=g.expand_even(x.reshape(g.K, -1)), real=True)
     return chi, 2.0 * float(x @ rhs)

@@ -13,7 +13,8 @@ nodes scale with the basis frequency, axial nodes with the box), so the
 default transform is a relabeling: same arrays, new grid metadata, one
 amplitude factor.  No interpolation error enters, and the action/mass
 equivalence factors hold to roundoff.  Resampling onto an arbitrary grid
-goes through spectral evaluation instead.
+goes through spectral evaluation of the field's real, even-in-z part,
+the only part a ground-state solve reads.
 
 Every solve runs in physical variables; these maps carry its results to
 the limit problems for the asymptotic checks.  The far-regime solve grid
@@ -67,20 +68,16 @@ def mass_factor_stretched(p: float, tau: float) -> float:
     return tau ** (0.5 - 2.0 / (p - 2.0))
 
 
-def _relabeled_grid(g: Discretization, omega_factor: float, z_factor: float) -> Discretization:
-    """Grid whose nodes are the image of g's nodes under the coordinate map."""
-    return build(K=g.K, Mz=g.Mz, Lz=g.Lz * z_factor,
-                 omega=g.omega * omega_factor, oversample=g.nr // g.K)
-
-
 def _relabel(field: Field, omega_factor: float, z_factor: float, amplitude: float) -> Field:
-    """Exact transform onto the matched grid.
+    """Exact transform onto the matched grid, the image of the field's grid.
 
     Coordinate map (r, z) -> (r * rf, z * zf) with rf = omega_factor^{-1/2};
     values pick up `amplitude`, coefficients pick up
     amplitude * rf * sqrt(zf) (from the basis rescaling).
     """
-    gt = _relabeled_grid(field.grid, omega_factor, z_factor)
+    g = field.grid
+    gt = build(K=g.K, Mz=g.Mz, Lz=g.Lz * z_factor, omega=g.omega * omega_factor,
+               oversample=g.nr // g.K)
     return Field(gt,
                  values=amplitude * field.values if field._values is not None else None,
                  coeffs=(amplitude * omega_factor**-0.5 * np.sqrt(z_factor)) * field._coeffs
@@ -141,11 +138,11 @@ def branch_derivative_to_w(chi: Field, lam: float, p: float) -> Field:
 
 
 def resample(field: Field, target: Discretization) -> Field:
-    """Spectrally evaluate `field` on the nodes of `target`."""
-    vals = field.grid.evaluate(field.coeffs, target.r, target.z)
-    if field.real:
-        vals = vals.real
-    return Field(target, values=vals, real=field.real)
+    """The real, even-in-z part of `field`, spectrally evaluated on the
+    nodes of `target`: on its half grid, then expanded by reflection."""
+    src, j = field.grid, np.arange(target.Mz)
+    half = src.evaluate_even(src.reduce_even(field.coeffs), target.r, target.half_values(target.z))
+    return Field(target, values=half[:, np.abs(j - target.Mz // 2)], real=True)
 
 
 def scaling_report(u: Field, lam: float, p: float, picture: str) -> ScalingReport:

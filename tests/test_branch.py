@@ -5,10 +5,11 @@ from confinement_lab.branch import (BranchCurve, BranchSample, analyze_sample,
                                     asymptotic_constants, classify_slope,
                                     default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_prefactor_far,
-                                    slope_prefactor_near, sweep)
+                                    slope_finite_difference, slope_prefactor_near, sweep)
 from confinement_lab.core import LAMBDA0, ModelParams
 from confinement_lab.errors import InsufficientTail
-from confinement_lab.ground_state import Resolution, SolverOptions, solve_ground_state
+from confinement_lab.ground_state import (Resolution, SolverOptions, solve_chi,
+                                          solve_ground_state)
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +321,15 @@ def test_sweep_falls_back_to_cold_start_on_real_failures(monkeypatch):
     by_lam = {lam: [init is None for at, init in starts if at == lam] for lam in lams}
     assert all(cold in ([True], [False], [False, True]) for cold in by_lam.values())
     assert any(cold == [False, True] for cold in by_lam.values())
+
+
+def test_solve_chi_refines_past_minres_estimate():
+    """At p = 2.5, lambda = -40 MINRES stops on its preconditioned residual
+    estimate with a true residual above the 1e-8 check; one refinement on
+    the true residual solves it, and the slope agrees with the centered
+    difference to its O(FD_DELTA^2) error."""
+    res = Resolution(K=24, Mz=128)
+    state = solve_ground_state(ModelParams(p=2.5, lam=-40.0), resolution=res)
+    _, slope = solve_chi(state)
+    fd = slope_finite_difference(2.5, -40.0, resolution=res, warm=state)
+    assert slope == pytest.approx(fd, rel=1e-4)

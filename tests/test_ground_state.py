@@ -87,6 +87,16 @@ def test_action_history_non_increasing(state_mid_p4):
     assert (np.diff(hist) <= 1e-12 * np.abs(hist[:-1]) + 1e-15).all()
 
 
+@pytest.mark.parametrize("state", ["state_far_p4", "state_mid_p4", "state_near_p4"])
+def test_descent_action_matches_recomputed_action(state, request):
+    """The action the descent carries from its Nehari projections is the
+    action 0.5 <u, L u> - int |u|^p / p of the state it returns."""
+    res = request.getfixturevalue(state)
+    rep = report(res.u, res.params)
+    assert res.action == pytest.approx(0.5 * rep.lambda_norm_sq - rep.lp_integral / res.params.p,
+                                       rel=1e-12)
+
+
 def test_critical_point_characterization(state_mid_p4):
     res = state_mid_p4
     rep = report(res.u, res.params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confinement_lab.core import LAMBDA0, ModelParams, project_Q
+from confinement_lab.core import LAMBDA0, Field, ModelParams, project_Q
 from confinement_lab.functionals import (action_stiff_plane, action_weak_trap,
                                          h1_distance, nehari_residual_stiff_plane,
                                          nehari_residual_weak_trap, report)
@@ -96,6 +96,43 @@ def test_resample_roundtrip(medium_grid, rng):
     moved = resample(u, target)
     back = resample(moved, medium_grid)
     assert np.abs(back.values - u.values).max() <= 1e-8 * np.abs(u.values).max()
+
+
+def _grid(lam):
+    from confinement_lab.ground_state import Resolution, grid_for
+    return grid_for(ModelParams(p=P, lam=lam), Resolution(K=24, Mz=128))
+
+
+# far (omega = 10), unit and near (stretched boxes) grids of the default family
+GRID_PAIRS = [(-10.0, -5.0), (1.5, 0.5), (1.5, 1.9)]
+
+
+@pytest.mark.parametrize("src_lam, dst_lam", GRID_PAIRS, ids=["far-unit", "near-unit", "near-near"])
+def test_resample_matches_direct_complex_sum(src_lam, dst_lam):
+    """On real even fields the even-sector evaluation equals the full
+    expansion sum_{k,m} c_km phi_k(r) exp(i xi_m z) / sqrt(2 Lz)."""
+    from confinement_lab.grid import scaled_laguerre
+    src, dst = _grid(src_lam), _grid(dst_lam)
+    u = random_band_limited(src, np.random.default_rng(11))
+    basis_r = scaled_laguerre(src.omega * dst.r**2, src.K) * np.sqrt(src.omega / np.pi)
+    ez = np.exp(1j * np.outer(dst.z, src.xi)) / np.sqrt(2.0 * src.Lz)
+    direct = (basis_r @ u.coeffs @ ez.T).real
+    moved = resample(u, dst)
+    assert moved.grid is dst and moved.real
+    assert np.abs(moved.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("src_lam, dst_lam", GRID_PAIRS, ids=["far-unit", "near-unit", "near-near"])
+def test_resample_keeps_the_real_even_part(src_lam, dst_lam):
+    """Odd-in-z and imaginary parts do not reach the target grid."""
+    src, dst = _grid(src_lam), _grid(dst_lam)
+    f = random_band_limited(src, np.random.default_rng(12), even_z=False, real=False)
+    even = src.expand_even(src.reduce_even(f.coeffs))
+    assert np.abs(f.coeffs - even).max() > 0.1 * np.abs(even).max()
+    moved = resample(f, dst)
+    ref = resample(Field(src, coeffs=even, real=True), dst)
+    assert moved.real
+    assert np.abs(moved.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
 
 
 def test_picture_independence(shot3d_p4):
