@@ -14,6 +14,7 @@ predicted start that fails falls back to the cold start.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -314,48 +315,65 @@ def _mass_at(p, lam, resolution, opts, warm):
     return res
 
 
-BISECT_MAX_ITER = 80    # secant steps of a mass bisection
+MASS_MAX_ITER = 80      # solves of one tail's mass search
 
 
-def _bisect_mass(p, target, lam_a, lam_b, resolution, opts, rel_tol):
-    """Find lam in [lam_a, lam_b] with M(lam) = target on a monotone stretch."""
+def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
+    """The ground state with M(lambda) = c^2 on one monotone tail, from x.
+
+    Each tail's mass follows a power law of tau = LAMBDA0 - lambda, so
+    f(x) = log(M / c^2) is nearly linear in x = log tau, with slope expo.
+    Until f changes sign each step follows the secant of the last two
+    points (expo after the first), clamped to window, the tail's range of
+    x; then Illinois on the bracket.  Reaching the window's edge is
+    MassTooLarge; a bracket that collapses without a root is a jump in M,
+    and a tau that lambda cannot resolve (lambda rounds to LAMBDA0 or to
+    the last solve's) is BracketNotFound too.
+    """
+    target = c * c
     warm = [None]
-    ra = _mass_at(p, lam_a, resolution, opts, warm)
-    rb = _mass_at(p, lam_b, resolution, opts, warm)
-    fa, fb = ra.mass - target, rb.mass - target
-    if fa * fb > 0:
-        if target > max(ra.mass, rb.mass):
-            raise MassTooLarge(
-                f"target mass {target:.4g} above the tail "
-                f"(M={ra.mass:.4g} at {lam_a:.4g}, M={rb.mass:.4g} at {lam_b:.4g})")
-        raise BracketNotFound(
-            f"mass {target:.4g} not bracketed on [{lam_a:.4g}, {lam_b:.4g}] "
-            f"(M={ra.mass:.4g}, {rb.mass:.4g})")
-    best = ra if abs(fa) < abs(fb) else rb
-    side = 0   # Illinois damping: halve the retained endpoint when it repeats
-    for _ in range(BISECT_MAX_ITER):
-        if abs(best.mass - target) <= rel_tol * target:
-            return best
-        lam_mid = lam_b - fb * (lam_b - lam_a) / (fb - fa) if fb != fa else \
-            0.5 * (lam_a + lam_b)
-        if not lam_a < lam_mid < lam_b:
-            lam_mid = 0.5 * (lam_a + lam_b)
-        rm = _mass_at(p, lam_mid, resolution, opts, warm)
-        fm = rm.mass - target
-        if abs(fm) < abs(best.mass - target):
-            best = rm
-        if (fm > 0) == (fa > 0):
-            lam_a, fa = lam_mid, fm
+    xa = fa = xb = fb = None
+    side = 0   # Illinois damping: halve the retained end when it repeats
+    for _ in range(MASS_MAX_ITER):
+        tau = math.exp(x)
+        lam = LAMBDA0 - tau
+        if lam == LAMBDA0 or (warm[0] is not None and lam == warm[0].params.lam):
+            to = "LAMBDA0" if lam == LAMBDA0 else "the last solve's lambda"
+            raise BracketNotFound(f"p={p:g}, c={c:g}: lambda cannot resolve the {tail}-tail "
+                                  f"tau={tau:.3g}: LAMBDA0 - tau rounds to {to}, {lam!r}")
+        res = _mass_at(p, lam, resolution, opts, warm)
+        if abs(res.mass - target) <= rel_tol * target:
+            return res
+        f = math.log(res.mass / target)
+        if fa is None or (fa > 0) == (fb > 0):     # not bracketed: keep the last two
+            xa, fa, xb, fb = xb, fb, x, f
+        elif (f > 0) == (fa > 0):
+            xa, fa = x, f
             if side == -1:
                 fb *= 0.5
             side = -1
         else:
-            lam_b, fb = lam_mid, fm
+            xb, fb = x, f
             if side == +1:
                 fa *= 0.5
             side = +1
-    raise NotConverged(BISECT_MAX_ITER, abs(best.mass - target) / target,
-                       what="mass bisection")
+        if fa is None or (fa > 0) == (fb > 0):
+            slope = expo if fa is None else (fb - fa) / (xb - xa)
+            # a secant of the wrong sign (M not monotone there) gives way to expo
+            x = min(max(xb - fb / (slope if slope * expo > 0 else expo), window[0]), window[1])
+            if x == xb:
+                raise MassTooLarge(f"target mass {target:.4g} above the {tail} tail "
+                                   f"(M={res.mass:.4g} at its edge lambda={res.params.lam:.4g})")
+        else:
+            x = xb - fb * (xb - xa) / (fb - fa)
+            if not min(xa, xb) < x < max(xa, xb):
+                x = 0.5 * (xa + xb)
+            if not min(xa, xb) < x < max(xa, xb):
+                raise BracketNotFound(
+                    f"p={p:g}, c={c:g}: the {tail}-tail mass jumps across {target:.4g} "
+                    f"between lambda={LAMBDA0 - math.exp(xa)!r} and {LAMBDA0 - math.exp(xb)!r}")
+    raise NotConverged(MASS_MAX_ITER, abs(res.mass - target) / target,
+                       what=f"{tail}-tail mass search")
 
 
 def find_mass_pair(p: float, c: float,
@@ -366,30 +384,25 @@ def find_mass_pair(p: float, c: float,
 
     Requires the mass-supercritical window 10/3 < p < 6 where both tails
     of M(lambda) decay, and c small enough that the target mass c^2 lies
-    below both tails' reach.  The returned pair carries stability tags
-    from the slope criterion: the larger frequency is the stable one.
+    below both tails' reach.  Each tail's root is sought in log tau from
+    its power law (_tail_mass_root): the far tail (lambda <= 0) from
+    lambda = -8, the near tail (tau <= 1) from the tau at which the 1D
+    soliton's mass law gives c^2.  The returned pair carries stability
+    tags from the slope criterion: the larger frequency is the stable one.
     """
     if not (10.0 / 3.0 < p < 6.0):
         raise ValueError(f"mass pair needs 10/3 < p < 6, got p={p}")
     if c <= 0:
         raise ValueError("prescribed norm must be positive")
-    target = c * c
 
     # far tail: M ~ |lambda|^{2/(p-2)-3/2} int vtilde^2, increasing in lambda
-    m3 = shoot_3d(p, rtol=1e-10).mass
-    expo_far = 2.0 / (p - 2.0) - 1.5
-    lam_est = -((target / m3) ** (1.0 / expo_far))
-    lam_a = min(4.0 * lam_est, -8.0)
-    lam_b = max(lam_est / 4.0, lam_a / 16.0)
+    low = _tail_mass_root(p, c, "far", math.log(LAMBDA0 + 8.0), 2.0 / (p - 2.0) - 1.5,
+                          (math.log(LAMBDA0), math.inf), resolution, opts, mass_rel_tol)
     # near tail: M ~ tau^{2/(p-2)-1/2} int what^2, decreasing in lambda
-    m1 = soliton_1d(p).mass
     expo_near = 2.0 / (p - 2.0) - 0.5
-    tau_est = (target / m1) ** (1.0 / expo_near)
-    tau_a, tau_b = min(4.0 * tau_est, 1.0), tau_est / 8.0
-
-    low = _bisect_mass(p, target, lam_a, lam_b, resolution, opts, rel_tol=mass_rel_tol)
-    high = _bisect_mass(p, target, LAMBDA0 - tau_a, LAMBDA0 - tau_b,
-                        resolution, opts, rel_tol=mass_rel_tol)
+    x_est = math.log(c * c / soliton_1d(p).mass) / expo_near
+    high = _tail_mass_root(p, c, "near", min(x_est, 0.0), expo_near, (-math.inf, 0.0),
+                           resolution, opts, mass_rel_tol)
 
     _, slope_low = solve_chi(low)
     _, slope_high = solve_chi(high)

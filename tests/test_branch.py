@@ -7,7 +7,7 @@ from confinement_lab.branch import (BranchCurve, BranchSample, analyze_sample,
                                     mass_sup_scan, slope_prefactor_far,
                                     slope_finite_difference, slope_prefactor_near, sweep)
 from confinement_lab.core import LAMBDA0, ModelParams
-from confinement_lab.errors import InsufficientTail
+from confinement_lab.errors import BracketNotFound, InsufficientTail, MassTooLarge
 from confinement_lab.ground_state import (Resolution, SolverOptions, solve_chi,
                                           solve_ground_state)
 
@@ -123,6 +123,68 @@ def test_find_mass_pair_preconditions():
         find_mass_pair(3.0, 1.0)            # needs 10/3 < p
     with pytest.raises(ValueError):
         find_mass_pair(4.0, 0.0)
+
+
+# (p, c, lambda_low, lambda_high) on the default grid at mass_rel_tol = 1e-7,
+# frozen from the linear-lambda bisection that preceded the log-tau search;
+# every lambda_low lies on the far grid (below FAR_SWITCH)
+PAIR_REFERENCES = [
+    (3.6, 1.4142, -134829.30508708424, 1.9724870962255765),
+    (4.0, 1.0, -357.1414147792448, 1.9984149302723735),
+    (4.0, 2.0, -22.22568309528081, 1.974162701794856),
+]
+
+
+@pytest.mark.parametrize("p, c, lam_low, lam_high", PAIR_REFERENCES,
+                         ids=[f"p{p:g}-c{c:g}" for p, c, *_ in PAIR_REFERENCES])
+def test_find_mass_pair_matches_frozen_references(p, c, lam_low, lam_high):
+    pair = find_mass_pair(p, c, mass_rel_tol=1e-7)
+    assert pair.lambda_low == pytest.approx(lam_low, rel=1e-6)
+    assert pair.lambda_high == pytest.approx(lam_high, rel=1e-6)
+    assert (pair.tag_low, pair.tag_high) == ("unstable", "stable")
+    for res in (pair.low, pair.high):
+        assert abs(res.mass / c**2 - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("p, c, to", [(5.5, 0.5, "LAMBDA0"), (5.5, 1.0, "LAMBDA0"),
+                                      (5.0, 0.5, "the last solve's lambda")],
+                         ids=["p5.5-c0.5", "p5.5-c1", "p5-c0.5"])
+def test_find_mass_pair_near_tau_underflow_is_typed(p, c, to):
+    """At p = 5.5 the near-tail power law puts c^2 at tau = 4e-26 (c = 0.5)
+    and 1e-17 (c = 1), where LAMBDA0 - tau rounds to LAMBDA0; at p = 5,
+    c = 0.5 the root lies near tau = 1.9e-12, where the secant's next step
+    rounds to the lambda just solved.  The search names p, c and tau
+    instead of letting ModelParams refuse lambda or stepping on a secant
+    of roundoff."""
+    with pytest.raises(BracketNotFound, match=rf"p={p:g}, c={c:g}: lambda cannot resolve "
+                                              rf"the near-tail tau=\S+: LAMBDA0 - tau rounds to {to},"):
+        find_mass_pair(p, c)
+
+
+def test_find_mass_pair_mass_too_large():
+    """c^2 = 20.25 lies above the p = 4 far tail: its mass at the tail's
+    edge lambda = 0 is 15.8."""
+    with pytest.raises(MassTooLarge, match=r"20.25 above the far tail .* lambda=0\)"):
+        find_mass_pair(4.0, 4.5)
+
+
+def test_find_mass_pair_stops_at_mass_jump(monkeypatch):
+    """At p = 5 the far-tail mass jumps at FAR_SWITCH = -6, from 0.817 on the
+    far grid to 1.49 just above it on the unit grid, and c^2 = 1 lies in the
+    gap: the bracket collapses onto the switch, and the search names it
+    within its solve budget instead of running the budget out."""
+    from confinement_lab import branch
+    solves = []
+    real_solve = branch.solve_ground_state
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+    monkeypatch.setattr(branch, "solve_ground_state", counted)
+    with pytest.raises(BracketNotFound,
+                       match=r"far-tail mass jumps across 1 between lambda=-(6\.0|5\.9)"):
+        find_mass_pair(5.0, 1.0)
+    assert len(solves) < branch.MASS_MAX_ITER
 
 
 def test_sweep_failures_are_typed(monkeypatch):

@@ -187,21 +187,24 @@ print(cli.main(["solve", *tiny, "--lambda", "1.0", "--outdir", out + "/solve"]),
       cli.main(["solve", *tiny, "--lambda", "-1", "--outdir", out + "/far"]),
       cli.main(["sweep", *tiny, "--lambda-grid=-10,-7,1.5", "--outdir", out + "/sweep"]),
       cli.main(["evolve", *tiny, "--lambda", "1.8", "--perturbation", "0.01",
-                "--T", "0.1", "--outdir", out + "/evolve"]))
+                "--T", "0.1", "--outdir", out + "/evolve"]),
+      cli.main(["pair", *tiny, "--c", "1.4142", "--outdir", out + "/pair"]))
 """
 
 
 def test_solve_and_evolve_run_without_scipy(tmp_path):
     """Importing the package, the solve command on both sides of zero
-    frequency, a sweep across the far-grid switch and evolve need numpy
-    alone: scipy is refused by an import hook in a fresh interpreter."""
+    frequency, a sweep across the far-grid switch, evolve and the mass pair
+    need numpy alone: scipy is refused by an import hook in a fresh
+    interpreter."""
     src = str(Path(confinement_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path)],
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split()[-4:] == ["0", "0", "0", "0"]
+    assert proc.stdout.split()[-5:] == ["0", "0", "0", "0", "0"]
     assert (tmp_path / "solve" / "result.json").is_file()
     assert (tmp_path / "far" / "result.json").is_file()
     assert (tmp_path / "sweep" / "branch.csv").is_file()
     assert (tmp_path / "evolve" / "trace.csv").is_file()
+    assert (tmp_path / "pair" / "pair.json").is_file()
