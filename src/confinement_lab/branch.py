@@ -53,7 +53,7 @@ class BranchSample:
 class BranchCurve:
     p: float
     samples: list[BranchSample] = field(default_factory=list)
-    failures: list[tuple[float, str]] = field(default_factory=list)
+    failures: list[tuple[float, ConfinementLabError]] = field(default_factory=list)
 
     CSV_HEADER = ["lambda", "mass", "action", "slope_chi", "slope_fd",
                   "stability", "eig_min"]
@@ -143,15 +143,15 @@ def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05) -> np.nda
 def sweep(p: float, lambda_grid: Sequence[float] | None = None,
           resolution: Resolution = Resolution(),
           opts: SolverOptions = SolverOptions(),
-          compute_fd: bool = False, compute_eig: bool = True,
-          jobs: int = 1) -> BranchCurve:
+          compute_fd: bool = False, compute_eig: bool = True) -> BranchCurve:
     """Solve along a frequency grid with warm starts, tails inward.
 
     The far tail is climbed from the most negative frequency and the near
-    tail descended from the frequency closest to LAMBDA0.  Each chain
-    starts a solve from the Euler predictor u + dlambda * chi of its
-    previous sample (from u alone where the slope fell back to finite
-    differences); with jobs >= 2 the two chains run in separate processes.
+    tail descended from the frequency closest to LAMBDA0, one chain after
+    the other.  Each chain starts a solve from the Euler predictor
+    u + dlambda * chi of its previous sample (from u alone where the slope
+    fell back to finite differences).  A sample that fails is kept in
+    failures as (lambda, exception).
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -159,23 +159,13 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     if lams.size and lams[-1] >= LAMBDA0:
         raise ValueError("grid must stay below the planar spectral bottom")
     split = np.searchsorted(lams, 0.25)   # far/mid chain vs near chain
-    chains = [list(lams[:split]), list(reversed(lams[split:]))]
-    chains = [c for c in chains if c]
-
-    args = [(p, chain, resolution, opts, compute_fd, compute_eig) for chain in chains]
-    if jobs >= 2 and len(chains) >= 2:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=min(jobs, len(chains))) as ex:
-            chain_results = list(ex.map(_solve_chain, args))
-    else:
-        chain_results = [_solve_chain(a) for a in args]
-
     curve = BranchCurve(p=p)
-    for samples, failures in chain_results:
+    for chain in (list(lams[:split]), list(reversed(lams[split:]))):
+        samples, failures = _solve_chain(p, chain, resolution, opts, compute_fd, compute_eig)
         curve.samples.extend(samples)
         curve.failures.extend(failures)
     curve.samples.sort(key=lambda s: s.lam)
-    curve.failures.sort()
+    curve.failures.sort(key=lambda f: f[0])
     return curve
 
 
@@ -197,10 +187,10 @@ def _continued_solve(p, lam, warm, tangent, resolution, opts):
     return solve_ground_state(params, resolution=resolution, opts=opts)
 
 
-def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
-    p, chain, resolution, opts, compute_fd, compute_eig = packed
+def _solve_chain(p, chain, resolution, opts, compute_fd, compute_eig
+                 ) -> tuple[list[BranchSample], list[tuple[float, ConfinementLabError]]]:
     samples: list[BranchSample] = []
-    failures: list[tuple[float, str]] = []
+    failures: list[tuple[float, ConfinementLabError]] = []
     warm = tangent = None
     for lam in chain:
         # a failed solve or analysis fails that sample alone; the next one
@@ -210,7 +200,7 @@ def _solve_chain(packed) -> tuple[list[BranchSample], list[tuple[float, str]]]:
             sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
                                     resolution=resolution, opts=opts)
         except ConfinementLabError as exc:
-            failures.append((lam, repr(exc)))
+            failures.append((lam, exc))
             continue
         warm, tangent, sample.tangent = result, sample.tangent, None
         samples.append(sample)

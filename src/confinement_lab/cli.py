@@ -31,7 +31,7 @@ from . import verify as verify_mod
 
 def _add_common(sp, solves=True):
     """The options every subcommand takes; with solves, the grid and the
-    solver settings too.  --seed and --jobs go only where they are read."""
+    solver settings too.  --seed goes only where it is read."""
     sp.add_argument("--p", type=float, default=4.0, help="nonlinearity exponent in (2,6)")
     if solves:
         sp.add_argument("--K", type=int, default=Resolution().K)
@@ -43,8 +43,9 @@ def _add_common(sp, solves=True):
     sp.add_argument("--outdir", type=Path, default=Path("out"))
 
 
-def _add_jobs(sp, what):
-    sp.add_argument("--jobs", type=int, default=1, help=what)
+def _add_jobs(sp):
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for scripts that pass it; the run uses one process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,15 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-fd", action="store_true", help="also record finite-difference slopes")
     sp.add_argument("--skip-eigs", action="store_true")
     _add_common(sp)
-    _add_jobs(sp, "processes for the two continuation chains")
+    _add_jobs(sp)
 
     sp = sub.add_parser("verify", help="check the asymptotic/stability claims numerically")
     sp.add_argument("--theorem", choices=["1.3", "A.3", "A.8", "slopes"], required=True)
     sp.add_argument("--lambdas", type=str, default=argparse.SUPPRESS, help="theorem 1.3 only")
     sp.add_argument("--tau", type=str, default=argparse.SUPPRESS, help="theorem A.3 only")
     _add_common(sp)
-    sp.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                    help="theorem A.8 only: processes for its sweep")
 
     sp = sub.add_parser("limits", help="1D/3D limit profiles to CSV")
     sp.add_argument("--which", choices=["1d", "3d", "both"], default="both")
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pair", help="two states of prescribed L2 norm")
     sp.add_argument("--c", type=float, required=True, help="prescribed L2 norm")
     _add_common(sp)
-    _add_jobs(sp, "accepted for scripts that pass it; the pair runs in one process")
+    _add_jobs(sp)
 
     sp = sub.add_parser("evolve", help="time evolution of a (perturbed) standing wave")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a Field snapshot at every record point")
     sp.add_argument("--seed", type=int, default=1234, help="seed of the even_random shape")
     _add_common(sp)
-    _add_jobs(sp, "accepted for scripts that pass it; the evolution runs in one process")
+    _add_jobs(sp)
     return ap
 
 
@@ -106,8 +105,7 @@ CONDITIONAL = {
     "sweep": {"lambda_min": (-40.0, lambda a: not a.lambda_grid),
               "tau_min": (0.05, lambda a: not a.lambda_grid)},
     "verify": {"lambdas": ("-10,-20,-40", lambda a: a.theorem == "1.3"),
-               "tau": ("0.2,0.1,0.05", lambda a: a.theorem == "A.3"),
-               "jobs": (1, lambda a: a.theorem == "A.8")},
+               "tau": ("0.2,0.1,0.05", lambda a: a.theorem == "A.3")},
 }
 
 
@@ -181,8 +179,9 @@ def cmd_sweep(args) -> int:
     else:
         grid = default_lambda_grid(lam_min=args.lambda_min, tau_min=args.tau_min)
     curve = sweep(args.p, grid, resolution=res, opts=opts,
-                  compute_fd=args.with_fd, compute_eig=not args.skip_eigs,
-                  jobs=args.jobs)
+                  compute_fd=args.with_fd, compute_eig=not args.skip_eigs)
+    for lam, exc in curve.failures:
+        print(f"failed: lambda={lam:g}: {type(exc).__name__}: {exc}", file=sys.stderr)
     curve.to_csv(args.outdir / "branch.csv")
     scan = mass_sup_scan(curve)
     (args.outdir / "mass_scan.json").write_text(json.dumps(asdict(scan), indent=2, default=_json_default))
@@ -198,7 +197,7 @@ def cmd_verify(args) -> int:
     verdict = verify_mod.run_check(args.theorem, p=args.p,
                                    lambdas=_floats(given.get("lambdas", "")),
                                    taus=_floats(given.get("tau", "")),
-                                   resolution=res, opts=opts, jobs=given.get("jobs", 1))
+                                   resolution=res, opts=opts)
     out = args.outdir / f"verify_{args.theorem.replace('.', '_')}.json"
     out.write_text(json.dumps(verdict, indent=2, sort_keys=True, default=_json_default))
     print(f"{args.theorem}: {verdict['verdict']} -> {out}")

@@ -22,18 +22,16 @@ Polishing phi alone and forming proj afterwards leaves a fixed error in
 the low-mode block the state lives in, which every step applies again:
 a steady bias of about -1e-15 in relative mass per step.
 
-The flow keeps an even state even, so a start that is even in z (as
-Field.even_z measures it) is held on the even half grid (the Mz/2+1
-nodes z >= 0) as the real pair (Re psi, Im psi), and the linear step is
-to_even, a turn of each even coefficient by the multiplier, and
+The flow keeps an even state even, and the start must be even in z (as
+Field.even_z measures it): the state is held on the even half grid (the
+Mz/2+1 nodes z >= 0) as the real pair (Re psi, Im psi), and the linear
+step is to_even, a turn of each even coefficient by the multiplier, and
 from_even: real GEMMs.  On the collocation grid the sqrt(w)-weighted
 DCT-I is orthogonal and the radial pair square, so to_even maps the
 half-grid norm (quad_even) onto the Euclidean norm of the even
 coefficients, the full-grid L^2 norm: both sub-steps stay isometries and
 the argument above carries over.  A record point expands one to_even and
-the half-grid values to a Field, so no full-grid transform runs.  A
-start with an odd part steps the full grid with the same step body on
-the real and imaginary planes of its complex values and coefficients.
+the half-grid values to a Field, so no full-grid transform runs.
 
 Orbital distance to a standing-wave orbit quotients out the global phase
 (closed form) and axial translations (trig-polynomial scan over the box
@@ -155,13 +153,15 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     The reference (typically the ground state the run probes) is only used
     for the distance series; pass None to skip it.  With snapshot_dir set,
     the state is written in the Field snapshot format at every record point.
-    An even psi0 is stepped on the even half grid, any other on the full
-    grid.  Raises StepTooLarge if the relative energy drift over the first
-    few steps exceeds 1e-3.
+    psi0 is stepped on the even half grid; a start that is not even in z
+    raises ShapeMismatch.  Raises StepTooLarge if the relative energy drift
+    over the first few steps exceeds 1e-3.
     """
     g = psi0.grid
     if g.omega != 1.0:
         raise ShapeMismatch("time integration requires a unit-frequency grid")
+    if not psi0.even_z:
+        raise ShapeMismatch("time integration requires a start even in z")
     if reference is not None and not g.compatible(reference.grid):
         raise ShapeMismatch("reference on a different grid")
     if g.nr != g.K:
@@ -169,42 +169,30 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
         # coefficients, but nodal <-> spectral is unitary there, which makes
         # both split sub-steps exact L^2 isometries
         from .grid import build
-        gc = build(K=g.K, Mz=g.Mz, Lz=g.Lz, omega=g.omega, oversample=1)
-        psi0 = Field(gc, coeffs=psi0.coeffs, real=False)
+        g = build(K=g.K, Mz=g.Mz, Lz=g.Lz, omega=g.omega, oversample=1)
         if reference is not None:
-            reference = Field(gc, coeffs=reference.coeffs, real=reference.real)
-        g = gc
+            reference = Field(g, coeffs=reference.coeffs, real=reference.real)
     p = params.p
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
     ref_data = _reference_data(reference) if reference is not None else None
 
-    # evenness chooses the state's representation, its transform pair and
-    # how an observed state becomes a Field (with its mass)
-    if psi0.even_z:
-        c = psi0.coeffs
-        state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
-        to, back = g.to_even, g.from_even
-
-        def observe(state):
-            coeffs, vals = g.expand_even(g.to_even(state), state)
-            fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=coeffs[0] + 1j * coeffs[1],
-                        real=False)
-            return float(g.quad_even(state[0] ** 2 + state[1] ** 2)), fld
-    else:
-        state = psi0.values.astype(complex)
-        to, back = g.to_coeffs, g.from_coeffs
-
-        def observe(vals):
-            return float(g.quad(np.abs(vals) ** 2)), Field(g, values=vals, real=False)
-
+    c = psi0.coeffs
+    state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
     angle = dt * g.lin_diag(state.shape[-1], 0.0)
     lin_cos, lin_sin = np.cos(angle), -np.sin(angle)
 
     def linear(state):
-        coeffs = to(state)
+        coeffs = g.to_even(state)
         _turn(coeffs, lin_cos, lin_sin)
-        return back(coeffs)
+        return g.from_even(coeffs)
+
+    def observe(state):
+        # the mass and the Field of the state, through one to_even
+        coeffs, vals = g.expand_even(g.to_even(state), state)
+        fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=coeffs[0] + 1j * coeffs[1],
+                    real=False)
+        return float(g.quad_even(state[0] ** 2 + state[1] ** 2)), fld
 
     e0 = energy_value(observe(state)[1], p)
     scale = max(abs(e0), 1.0)
@@ -223,15 +211,15 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
                        p=p, lam=params.lam, extra={"t": step * dt})
 
     def rotate(state, h):
-        # state *= exp(i h |state|^{p-2}) in place; cos and sin of the angle
-        # cost less than a complex exp
-        re, im = (state.real, state.imag) if np.iscomplexobj(state) else state
+        # re + i im *= exp(i h |psi|^{p-2}) in place; cos and sin of the
+        # angle cost less than a complex exp
+        re, im = state
         mod = re ** 2
         mod += im ** 2
         if p != 4.0:
             mod **= 0.5 * (p - 2.0)
         mod *= h
-        _turn((re, im), np.cos(mod), np.sin(mod))
+        _turn(state, np.cos(mod), np.sin(mod))
 
     record(0, state)
     # a full rotation is one step's trailing half-step and the next step's
@@ -258,10 +246,9 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
                           energy=np.array(energies), orbital_distance=np.array(dists), dt=dt)
 
 
-def _turn(state, cos, sin):
-    """state *= cos + i sin in place, on the real and imaginary planes of a
-    complex array (its views) or on a real pair (re, im) of planes."""
-    re, im = (state.real, state.imag) if np.iscomplexobj(state) else state
+def _turn(pair, cos, sin):
+    """re + i im *= cos + i sin in place, on the real pair (re, im) of planes."""
+    re, im = pair
     t = sin * im
     u = sin * re
     re *= cos

@@ -109,12 +109,10 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     return out
 
 
-def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions(),
-                     jobs=1) -> dict:
+def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions()) -> dict:
     """Finite interior maximum of the mass curve; both tails decay below it."""
     grid = default_lambda_grid(lam_min=-40.0, tau_min=0.01)
-    curve = sweep(p, grid, resolution=resolution, opts=opts,
-                  compute_eig=False, jobs=jobs)
+    curve = sweep(p, grid, resolution=resolution, opts=opts, compute_eig=False)
     scan = mass_sup_scan(curve)
     masses = curve.masses()
     tails_ok = (masses[0] <= TAIL_FRAC * scan.max_mass
@@ -162,14 +160,14 @@ def check_slopes(p: float, resolution=Resolution(), opts=SolverOptions()) -> dic
 
 
 def run_check(theorem: str, p: float, lambdas, taus,
-              resolution=Resolution(), opts=SolverOptions(), jobs=1) -> dict:
+              resolution=Resolution(), opts=SolverOptions()) -> dict:
     try:
         if theorem == "1.3":
             return check_far_regime(p, lambdas, resolution, opts)
         if theorem == "A.3":
             return check_near_regime(p, taus, resolution, opts)
         if theorem == "A.8":
-            return check_mass_bound(p, resolution, opts, jobs=jobs)
+            return check_mass_bound(p, resolution, opts)
         if theorem == "slopes":
             return check_slopes(p, resolution=resolution, opts=opts)
     except NotConverged as exc:

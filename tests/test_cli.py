@@ -74,6 +74,17 @@ def test_verify_subcommand(tmp_path):
     assert cfg["tau"] == "0.2,0.1" and "lambdas" not in cfg and "jobs" not in cfg
 
 
+def test_verify_mass_bound_tiny_grid(tmp_path):
+    """verify --theorem A.8 sweeps the branch and records no failed sample;
+    the sweep runs in one process, so its run_config.json has no jobs."""
+    out = tmp_path / "a8"
+    assert main(["verify", "--theorem", "A.8", "--p", "4", "--K", "16", "--Mz", "64",
+                 "--Lz", "8", "--outdir", str(out)]) == 0
+    verdict = json.loads((out / "verify_A_8.json").read_text())
+    assert verdict["n_failures"] == 0
+    assert "jobs" not in json.loads((out / "run_config.json").read_text())
+
+
 def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
     """verify --theorem slopes records the two lowest sector eigenvalues of
     each end state, and its verdict needs exactly one of them negative."""
@@ -120,6 +131,18 @@ def test_jobs_env_fallback(monkeypatch):
     assert args.jobs == 2
 
 
+def test_sweep_jobs_runs_one_process(tmp_path, monkeypatch):
+    """sweep accepts --jobs and runs in one process whatever its value."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["sweep", "--p", "4", "--lambda-grid=-8,1.5", "--K", "16", "--Mz", "64",
+                 "--Lz", "8", "--skip-eigs", "--jobs", "2", "--outdir", str(tmp_path / "sw")]) == 0
+
+
 def test_subcommands_refuse_flags_they_ignore(tmp_path):
     """limits takes no grid or solver settings, and solve no --seed and no
     --init (a cold solve has one start): all are configuration errors, and
@@ -135,13 +158,14 @@ def test_subcommands_refuse_flags_they_ignore(tmp_path):
 
 
 def test_verify_and_sweep_refuse_settings_their_run_ignores(tmp_path):
-    """verify reads --lambdas only for theorem 1.3, --tau only for A.3 and
-    --jobs only for A.8, and sweep reads --lambda-min and --tau-min only
-    without --lambda-grid: any other use is a configuration error, and
-    run_config.json leaves out what its run did not read."""
+    """verify reads --lambdas only for theorem 1.3 and --tau only for A.3,
+    and takes no --jobs for any theorem; sweep reads --lambda-min and
+    --tau-min only without --lambda-grid: any other use is a configuration
+    error, and run_config.json leaves out what its run did not read."""
     for argv in (["verify", "--theorem", "slopes", "--tau", "0.1"],
                  ["verify", "--theorem", "A.3", "--lambdas=-10"],
                  ["verify", "--theorem", "1.3", "--jobs", "2"],
+                 ["verify", "--theorem", "A.8", "--jobs", "2"],
                  ["sweep", "--lambda-grid=1.5", "--lambda-min=-20"],
                  ["sweep", "--lambda-grid=1.5", "--tau-min", "0.1"]):
         assert main([*argv, "--outdir", str(tmp_path / "x")]) == 2

@@ -6,7 +6,7 @@ from confinement_lab.core import Field, ModelParams, load_field
 from confinement_lab.dynamics import (PERTURBATION_SHAPES, EvolutionConfig, energy_value,
                                       evolve, make_perturbation, orbital_distance,
                                       perturbed_state)
-from confinement_lab.errors import StepTooLarge
+from confinement_lab.errors import ShapeMismatch, StepTooLarge
 from confinement_lab.grid import Discretization
 from confinement_lab.ground_state import Resolution, solve_ground_state
 
@@ -115,28 +115,20 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     assert np.abs(final.values - states[50]).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("p", [4.0, 3.0], ids=["p=4", "p=3"])
-def test_odd_start_steps_the_full_grid(stable_state, tmp_path, p):
-    # the even start shifted by whole nodes is not even, so it steps the full
-    # grid; the flow commutes with node shifts, so the run is the even run,
-    # shifted
-    params = ModelParams(p=p, lam=stable_state.params.lam)
-    cfg = EvolutionConfig(dt=1e-3, T=0.1, perturbation=0.03, record_every=20)
+def test_odd_start_is_refused(stable_state, monkeypatch):
+    # the even start shifted by whole nodes is not even, and evolve steps
+    # the even half grid only: it refuses the start before any step runs
+    cfg = EvolutionConfig(dt=1e-3, T=0.1, perturbation=0.03)
     even = perturbed_state(stable_state.u, cfg)
     odd = Field(even.grid, values=np.roll(even.values, 7, axis=1), real=False)
-    runs = []
-    for name, psi0 in (("even", even), ("odd", odd)):
-        (tmp_path / name).mkdir()
-        tr = evolve(psi0, params, cfg, reference=stable_state.u, snapshot_dir=tmp_path / name)
-        runs.append((tr, *load_field(tmp_path / name / "psi_00000100")))
-    (te, fe, he), (to, fo, ho) = runs
-    assert np.array_equal(te.t, to.t)
-    for a, b in ((to.mass, te.mass), (to.energy, te.energy),
-                 (to.orbital_distance, te.orbital_distance)):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-    rolled = np.roll(fe.values, 7, axis=1)
-    assert np.abs(fo.values - rolled).max() <= 1e-12 * np.abs(rolled).max()
-    assert he["even_z"] is True and ho["even_z"] is False
+    assert not odd.even_z
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(dynamics, "_turn", no_step)
+    with pytest.raises(ShapeMismatch, match="even in z"):
+        evolve(odd, stable_state.params, cfg, reference=stable_state.u)
 
 
 def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, monkeypatch):
@@ -211,9 +203,8 @@ def test_perturbation_is_the_real_field_of_its_coefficients(stable_state, shape,
     """The perturbation added to the start is the real field its values
     describe, for a start on either grid: its coefficients are those of
     their real part.  A real-flagged field with non-Hermitian coefficients
-    would start the full grid from an imaginary, odd part.  The full-grid
-    start perturbs the ground state shifted by whole nodes, which is not
-    even."""
+    would give the start an imaginary, odd part.  The full-grid case
+    perturbs the ground state shifted by whole nodes, which is not even."""
     u = stable_state.u
     g = u.grid
     if sector == "full":
