@@ -115,9 +115,12 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     assert np.abs(final.values - states[50]).max() <= 1e-12 * scale
 
 
-def test_odd_start_is_refused(stable_state, monkeypatch):
+@pytest.mark.parametrize("p", [4.0, 3.0], ids=["p=4", "p=3"])
+def test_odd_start_is_refused(stable_state, monkeypatch, p):
     # the even start shifted by whole nodes is not even, and evolve steps
-    # the even half grid only: it refuses the start before any step runs
+    # the even half grid only: it refuses the start before any step runs,
+    # whichever form the nonlinear rotation takes
+    params = ModelParams(p=p, lam=stable_state.params.lam)
     cfg = EvolutionConfig(dt=1e-3, T=0.1, perturbation=0.03)
     even = perturbed_state(stable_state.u, cfg)
     odd = Field(even.grid, values=np.roll(even.values, 7, axis=1), real=False)
@@ -128,7 +131,7 @@ def test_odd_start_is_refused(stable_state, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_turn", no_step)
     with pytest.raises(ShapeMismatch, match="even in z"):
-        evolve(odd, stable_state.params, cfg, reference=stable_state.u)
+        evolve(odd, params, cfg, reference=stable_state.u)
 
 
 def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, monkeypatch):
