@@ -6,9 +6,10 @@ slope criterion: dM/dlambda < 0 means the standing wave is orbitally
 stable, > 0 unstable.  The slope's primary estimator solves the
 linearized equation for the frequency derivative chi = du/dlambda (one
 linear solve); centered finite differences are the cross-check.  The same
-chi is the branch tangent, so each solve along the sweep starts from the
-Euler predictor u + (lambda' - lambda) chi of the previous sample; a
-predicted start that fails falls back to the cold start.
+chi is the branch tangent: every warm-started solve is a continued_solve
+from the Euler predictor u + (lambda' - lambda) chi of the previous state
+(u alone without a tangent) that falls back to the cold start, and the
+sweep is one such chain over its sorted grid.
 """
 
 from __future__ import annotations
@@ -93,16 +94,33 @@ def classify_slope(slope: float) -> str:
     return "undetermined"
 
 
+REFINE_ITERS = 500      # iteration budget of a warm-started solve
+
+
+def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent: Field | None,
+                    resolution: Resolution, opts: SolverOptions) -> GroundStateResult:
+    """Continue the branch from warm to params.lam: solve from the Euler
+    predictor warm.u + (lambda - warm.lambda) * tangent (warm.u without a
+    tangent) within REFINE_ITERS iterations, and from the cold start when
+    that fails or there is no warm state."""
+    if warm is not None:
+        init = warm.u if tangent is None else warm.u + (params.lam - warm.params.lam) * tangent
+        budget = replace(opts, max_iter=min(opts.max_iter, REFINE_ITERS))
+        try:
+            return solve_ground_state(params, init=init, resolution=resolution, opts=budget)
+        except ConfinementLabError:
+            pass
+    return solve_ground_state(params, resolution=resolution, opts=opts)
+
+
 def slope_finite_difference(p: float, lam: float,
                             resolution: Resolution = Resolution(),
                             opts: SolverOptions = SolverOptions(),
                             warm: GroundStateResult | None = None) -> float:
-    """Centered difference (M(lam+FD_DELTA) - M(lam-FD_DELTA)) / (2 FD_DELTA)."""
-    init = warm.u if warm is not None else None
-    lo = solve_ground_state(ModelParams(p=p, lam=lam - FD_DELTA), init=init,
-                            resolution=resolution, opts=opts)
-    hi = solve_ground_state(ModelParams(p=p, lam=lam + FD_DELTA), init=init,
-                            resolution=resolution, opts=opts)
+    """Centered difference (M(lam+FD_DELTA) - M(lam-FD_DELTA)) / (2 FD_DELTA),
+    both ends continued from warm."""
+    lo = continued_solve(ModelParams(p=p, lam=lam - FD_DELTA), warm, None, resolution, opts)
+    hi = continued_solve(ModelParams(p=p, lam=lam + FD_DELTA), warm, None, resolution, opts)
     return (hi.mass - lo.mass) / (2.0 * FD_DELTA)
 
 
@@ -144,67 +162,34 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
           resolution: Resolution = Resolution(),
           opts: SolverOptions = SolverOptions(),
           compute_fd: bool = False, compute_eig: bool = True) -> BranchCurve:
-    """Solve along a frequency grid with warm starts, tails inward.
+    """Solve along a frequency grid as one continuation chain, from the most
+    negative frequency up.
 
-    The far tail is climbed from the most negative frequency and the near
-    tail descended from the frequency closest to LAMBDA0, one chain after
-    the other.  Each chain starts a solve from the Euler predictor
-    u + dlambda * chi of its previous sample (from u alone where the slope
-    fell back to finite differences).  A sample that fails is kept in
-    failures as (lambda, exception).
+    The first sample starts cold; each later one is a continued_solve from
+    the last sample that succeeded, with that sample's tangent chi (none
+    where the slope fell back to finite differences).  A sample that fails
+    is kept in failures as (lambda, exception) and fails alone.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lams = np.sort(np.asarray(lambda_grid, dtype=float))
-    if lams.size and lams[-1] >= LAMBDA0:
+    if not lams.size:
+        raise ValueError("sweep needs at least one frequency")
+    if lams[-1] >= LAMBDA0:
         raise ValueError("grid must stay below the planar spectral bottom")
-    split = np.searchsorted(lams, 0.25)   # far/mid chain vs near chain
     curve = BranchCurve(p=p)
-    for chain in (list(lams[:split]), list(reversed(lams[split:]))):
-        samples, failures = _solve_chain(p, chain, resolution, opts, compute_fd, compute_eig)
-        curve.samples.extend(samples)
-        curve.failures.extend(failures)
-    curve.samples.sort(key=lambda s: s.lam)
-    curve.failures.sort(key=lambda f: f[0])
-    return curve
-
-
-REFINE_ITERS = 500      # iteration budget of a predicted solve
-
-
-def _continued_solve(p, lam, warm, tangent, resolution, opts):
-    """Solve from the Euler predictor warm.u + (lam - warm.lam) * tangent (warm.u
-    without a tangent) within REFINE_ITERS iterations; when that fails, solve
-    once more from the cold start, as the first sample of a chain does."""
-    params = ModelParams(p=p, lam=lam)
-    if warm is not None:
-        init = warm.u if tangent is None else warm.u + (lam - warm.params.lam) * tangent
-        budget = replace(opts, max_iter=min(opts.max_iter, REFINE_ITERS))
-        try:
-            return solve_ground_state(params, init=init, resolution=resolution, opts=budget)
-        except ConfinementLabError:
-            pass
-    return solve_ground_state(params, resolution=resolution, opts=opts)
-
-
-def _solve_chain(p, chain, resolution, opts, compute_fd, compute_eig
-                 ) -> tuple[list[BranchSample], list[tuple[float, ConfinementLabError]]]:
-    samples: list[BranchSample] = []
-    failures: list[tuple[float, ConfinementLabError]] = []
     warm = tangent = None
-    for lam in chain:
-        # a failed solve or analysis fails that sample alone; the next one
-        # continues from the last sample that succeeded
+    for lam in lams:
         try:
-            result = _continued_solve(p, lam, warm, tangent, resolution, opts)
+            result = continued_solve(ModelParams(p=p, lam=lam), warm, tangent, resolution, opts)
             sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
                                     resolution=resolution, opts=opts)
         except ConfinementLabError as exc:
-            failures.append((lam, exc))
+            curve.failures.append((lam, exc))
             continue
         warm, tangent, sample.tangent = result, sample.tangent, None
-        samples.append(sample)
-    return samples, failures
+        curve.samples.append(sample)
+    return curve
 
 
 # -- asymptotic constants --------------------------------------------------------
@@ -287,24 +272,6 @@ class MassPair:
     tag_high: str
 
 
-def _warm_ok(prev_lam: float, lam: float) -> bool:
-    """Warm starts are only trustworthy across modest frequency rescalings;
-    resampling a state across a large scale jump rings enough to seed the
-    solver with spurious (e.g. multi-bump) critical points."""
-    a, b = LAMBDA0 - prev_lam, LAMBDA0 - lam
-    return 0.5 <= a / b <= 2.0
-
-
-def _mass_at(p, lam, resolution, opts, warm):
-    init = None
-    if warm[0] is not None and _warm_ok(warm[0].params.lam, lam):
-        init = warm[0].u
-    res = solve_ground_state(ModelParams(p=p, lam=lam), init=init,
-                             resolution=resolution, opts=opts)
-    warm[0] = res
-    return res
-
-
 MASS_MAX_ITER = 80      # solves of one tail's mass search
 
 
@@ -321,17 +288,17 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
     the last solve's) is BracketNotFound too.
     """
     target = c * c
-    warm = [None]
+    warm = None
     xa = fa = xb = fb = None
     side = 0   # Illinois damping: halve the retained end when it repeats
     for _ in range(MASS_MAX_ITER):
         tau = math.exp(x)
         lam = LAMBDA0 - tau
-        if lam == LAMBDA0 or (warm[0] is not None and lam == warm[0].params.lam):
+        if lam == LAMBDA0 or (warm is not None and lam == warm.params.lam):
             to = "LAMBDA0" if lam == LAMBDA0 else "the last solve's lambda"
             raise BracketNotFound(f"p={p:g}, c={c:g}: lambda cannot resolve the {tail}-tail "
                                   f"tau={tau:.3g}: LAMBDA0 - tau rounds to {to}, {lam!r}")
-        res = _mass_at(p, lam, resolution, opts, warm)
+        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution, opts)
         if abs(res.mass - target) <= rel_tol * target:
             return res
         f = math.log(res.mass / target)

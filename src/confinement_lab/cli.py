@@ -183,11 +183,12 @@ def cmd_sweep(args) -> int:
     for lam, exc in curve.failures:
         print(f"failed: lambda={lam:g}: {type(exc).__name__}: {exc}", file=sys.stderr)
     curve.to_csv(args.outdir / "branch.csv")
-    scan = mass_sup_scan(curve)
-    (args.outdir / "mass_scan.json").write_text(json.dumps(asdict(scan), indent=2, default=_json_default))
-    print(f"{len(curve.samples)} samples ({len(curve.failures)} failures) -> "
-          f"{args.outdir/'branch.csv'}; max mass {scan.max_mass:.6g} "
-          f"at lambda={scan.argmax_lambda:g}")
+    summary = f"{len(curve.samples)} samples ({len(curve.failures)} failures) -> {args.outdir/'branch.csv'}"
+    if curve.samples:
+        scan = mass_sup_scan(curve)
+        (args.outdir / "mass_scan.json").write_text(json.dumps(asdict(scan), indent=2, default=_json_default))
+        summary += f"; max mass {scan.max_mass:.6g} at lambda={scan.argmax_lambda:g}"
+    print(summary)
     return 0 if not curve.failures else 3
 
 

@@ -365,8 +365,8 @@ def solve_ground_state(params: ModelParams, init: Field | None = None,
 
     With init=None the solve starts from the isotropic Gaussian
     exp(-omega (r^2 + z^2) / 2) at the grid's own radial scale; a Field
-    start is resampled onto the grid if needed and reduced to its even
-    sector.  One start is run: a start of (numerically) zero mass raises
+    start is resampled onto the grid if needed (zero beyond its own axial
+    box) and reduced to its even sector.  One start is run: a start of (numerically) zero mass raises
     CollapsedToZero, one that does not converge or lands on a
     sign-changing state NotConverged.
     """

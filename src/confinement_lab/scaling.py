@@ -14,7 +14,8 @@ default transform is a relabeling: same arrays, new grid metadata, one
 amplitude factor.  No interpolation error enters, and the action/mass
 equivalence factors hold to roundoff.  Resampling onto an arbitrary grid
 goes through spectral evaluation of the field's real, even-in-z part,
-the only part a ground-state solve reads.
+the only part a ground-state solve reads, and zero-fills the target
+beyond the source box, where the Fourier series would repeat the field.
 
 Every solve runs in physical variables; these maps carry its results to
 the limit problems for the asymptotic checks.  The far-regime solve grid
@@ -139,9 +140,13 @@ def branch_derivative_to_w(chi: Field, lam: float, p: float) -> Field:
 
 def resample(field: Field, target: Discretization) -> Field:
     """The real, even-in-z part of `field`, spectrally evaluated on the
-    nodes of `target`: on its half grid, then expanded by reflection."""
+    nodes of `target`: on its half grid, then expanded by reflection.
+    Target nodes beyond the source box (|z| > Lz of field's grid) are zero,
+    not the periodic images of the source that its Fourier series repeats."""
     src, j = field.grid, np.arange(target.Mz)
-    half = src.evaluate_even(src.reduce_even(field.coeffs), target.r, target.half_values(target.z))
+    z = target.half_values(target.z)
+    half = src.evaluate_even(src.reduce_even(field.coeffs), target.r, z)
+    half[:, np.abs(z) > src.Lz] = 0.0   # the last half node is z = -Lz
     return Field(target, values=half[:, np.abs(j - target.Mz // 2)], real=True)
 
 

@@ -16,8 +16,8 @@ from .errors import NotConverged
 from .functionals import h1_distance, h_distance, quadratic_parts, report
 from .ground_state import (Resolution, SolverOptions, linearized_smallest_eigs,
                            solve_ground_state)
-from .branch import (analyze_sample, default_lambda_grid, mass_sup_scan,
-                     slope_prefactor_far, slope_prefactor_near, sweep)
+from .branch import (analyze_sample, continued_solve, default_lambda_grid,
+                     mass_sup_scan, slope_prefactor_far, slope_prefactor_near, sweep)
 from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
 from .scaling import (mass_factor_stretched, mass_factor_weak_trap, scaling_report,
                       to_v, to_w)
@@ -43,10 +43,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
     rows = []
     warm = None
     for lam in lambdas:
-        params = ModelParams(p=p, lam=lam)
-        res = solve_ground_state(params, init=warm.u if warm else None,
-                                 resolution=resolution, opts=opts)
-        warm = res
+        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution, opts)
         vfield = to_v(res.u, lam, p)
         ref = free_soliton_field(p, vfield.grid, profile=prof)
         dist = h1_distance(vfield, ref, relative=True)
@@ -77,9 +74,7 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     for tau in taus:
         lam = LAMBDA0 - tau
         params = ModelParams(p=p, lam=lam)
-        res = solve_ground_state(params, init=warm.u if warm else None,
-                                 resolution=resolution, opts=opts)
-        warm = res
+        res = warm = continued_solve(params, warm, None, resolution, opts)
         w = to_w(res.u, lam, p)
         ref = near_limit_field(p, w.grid)
         dist = h_distance(w, ref, relative=True)

@@ -8,8 +8,7 @@ from confinement_lab.branch import (BranchCurve, BranchSample, analyze_sample,
                                     slope_finite_difference, slope_prefactor_near, sweep)
 from confinement_lab.core import LAMBDA0, ModelParams
 from confinement_lab.errors import BracketNotFound, InsufficientTail, MassTooLarge
-from confinement_lab.ground_state import (Resolution, SolverOptions, solve_chi,
-                                          solve_ground_state)
+from confinement_lab.ground_state import Resolution, solve_chi, solve_ground_state
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +237,10 @@ def _recorded_starts(monkeypatch):
 
 
 def test_chain_starts_from_euler_predictor(monkeypatch):
-    from confinement_lab.branch import _solve_chain
     from confinement_lab.ground_state import solve_chi
     resolution = Resolution(K=16, Mz=64)
     starts = _recorded_starts(monkeypatch)
-    _solve_chain(4.0, [0.5, 0.6], resolution, SolverOptions(), False, False)
+    sweep(4.0, [0.5, 0.6], resolution=resolution, compute_eig=False)
     assert [lam for lam, _ in starts] == [0.5, 0.6] and starts[0][1] is None
     warm = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=resolution)
     chi, _ = solve_chi(warm)
@@ -265,9 +263,9 @@ def test_chain_falls_back_to_warm_state_without_tangent(monkeypatch):
     monkeypatch.setattr(branch, "slope_finite_difference", lambda *a, **k: -1.0)
     resolution = Resolution(K=16, Mz=64)
     starts = _recorded_starts(monkeypatch)
-    samples, _ = branch._solve_chain(4.0, [0.5, 0.6], resolution, SolverOptions(), False, False)
+    curve = sweep(4.0, [0.5, 0.6], resolution=resolution, compute_eig=False)
     warm = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=resolution)
-    assert [s.stability for s in samples] == ["stable", "stable"]
+    assert [s.stability for s in curve.samples] == ["stable", "stable"]
     assert np.array_equal(starts[1][1].coeffs, warm.u.coeffs)
 
 
@@ -341,7 +339,7 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
 
 
-@pytest.mark.parametrize("chain", [[-10.0, -8.0], [1.9, 1.8]])
+@pytest.mark.parametrize("chain", [[-10.0, -8.0], [1.8, 1.9]])
 def test_failed_predicted_solve_falls_back_to_cold_start(monkeypatch, chain):
     """A failed predicted solve is redone once from the cold start, on the
     sample's own grid: in the weak-trap picture (lambda <= FAR_SWITCH) and
@@ -361,31 +359,49 @@ def test_failed_predicted_solve_falls_back_to_cold_start(monkeypatch, chain):
         return real(params, init=init, **kwargs)
 
     monkeypatch.setattr(branch, "solve_ground_state", fail_first_predicted)
-    samples, failures = branch._solve_chain(4.0, chain, resolution, SolverOptions(), False, False)
-    assert not failures and [s.lam for s in samples] == chain
+    curve = sweep(4.0, chain, resolution=resolution, compute_eig=False)
+    assert not curve.failures and list(curve.lambdas()) == chain
     assert calls == [first, second, second] and inits[1] is not None and inits[-1] is None
     cold = real(ModelParams(p=4.0, lam=second), resolution=resolution)
-    assert samples[1].mass == pytest.approx(cold.mass, rel=1e-8)
+    assert curve.samples[1].mass == pytest.approx(cold.mass, rel=1e-8)
 
 
-def test_sweep_falls_back_to_cold_start_on_real_failures(monkeypatch):
-    """At p = 2.5 on a coarse grid some predicted starts just above the
-    far-grid switch fail on their own; each of those samples is solved
-    once more from the cold start, at its own frequency, and the sweep has
-    no failures.  No solve runs between samples: apart from the samples,
-    only a finite-difference slope's pair at +-FD_DELTA is solved."""
-    from confinement_lab.branch import FD_DELTA
-    resolution = Resolution(K=24, Mz=128)
+def test_sweep_p25_matches_cold_solves_with_one_cold_start(monkeypatch):
+    """At p = 2.5 the default sweep crosses both grid-family switches; a
+    warm start resampled onto a longer box is zero beyond its own, so no
+    sample continues into a periodic copy of the state (a three-bump state
+    of three times the mass at lambda = -5.43 when resample repeated it).
+    Every sample matches its cold solve, and only the first starts cold."""
     starts = _recorded_starts(monkeypatch)
-    curve = sweep(2.5, resolution=resolution, compute_eig=False)
-    assert not curve.failures
-    lams = list(curve.lambdas())
-    assert lams == list(default_lambda_grid())
-    offsets = [min(abs(lam - s) for s in lams) for lam, _ in starts]
-    assert all(d == 0.0 or d == pytest.approx(FD_DELTA, rel=1e-9) for d in offsets)
-    by_lam = {lam: [init is None for at, init in starts if at == lam] for lam in lams}
-    assert all(cold in ([True], [False], [False, True]) for cold in by_lam.values())
-    assert any(cold == [False, True] for cold in by_lam.values())
+    curve = sweep(2.5, compute_eig=False)
+    assert not curve.failures and list(curve.lambdas()) == list(default_lambda_grid())
+    for s in curve.samples:
+        cold = solve_ground_state(ModelParams(p=2.5, lam=s.lam))
+        assert s.mass == pytest.approx(cold.mass, rel=1e-6), s.lam
+    assert [init is None for _, init in starts] == [True] + [False] * (len(starts) - 1)
+
+
+def test_find_mass_pair_redoes_a_failed_warm_solve_cold(monkeypatch):
+    """A warm-started solve of the mass search that fails is solved once
+    more from the cold start at the same frequency, and the search goes on
+    to the same pair."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NotConverged
+    resolution = Resolution(K=24, Mz=128)
+    ref = find_mass_pair(4.0, 1.4142, resolution=resolution)
+    real, calls = branch.solve_ground_state, []
+
+    def fail_first_warm(params, init=None, **kwargs):
+        calls.append((params.lam, init is None))
+        if init is not None and all(cold for _, cold in calls[:-1]):
+            raise NotConverged(0, 1.0)
+        return real(params, init=init, **kwargs)
+
+    monkeypatch.setattr(branch, "solve_ground_state", fail_first_warm)
+    pair = find_mass_pair(4.0, 1.4142, resolution=resolution)
+    assert calls[1][0] == calls[2][0] and [cold for _, cold in calls[:3]] == [True, False, True]
+    assert pair.lambda_low == pytest.approx(ref.lambda_low, rel=1e-8)
+    assert pair.lambda_high == pytest.approx(ref.lambda_high, rel=1e-8)
 
 
 def test_solve_chi_refines_past_minres_estimate():

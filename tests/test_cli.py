@@ -62,6 +62,28 @@ def test_sweep_subcommand(tmp_path):
     assert "action_bound" in scan
 
 
+def test_sweep_with_every_sample_failed_exits_3(tmp_path, monkeypatch, capsys):
+    """A sweep whose every sample fails is a non-convergence, not a bad
+    setting: one stderr line per failure, a header-only branch.csv, no
+    mass_scan.json, exit 3."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NotConverged
+
+    def not_converged(*args, **kwargs):
+        raise NotConverged(3, 1.0)
+
+    monkeypatch.setattr(branch, "solve_ground_state", not_converged)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--p", "4", "--lambda-grid=0.5,1.5", "--K", "16", "--Mz", "64",
+                 "--Lz", "8", "--skip-eigs", "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in err] == [["failed", " lambda=0.5"],
+                                                      ["failed", " lambda=1.5"]]
+    assert (out / "branch.csv").read_text().splitlines() == [
+        "lambda,mass,action,slope_chi,slope_fd,stability,eig_min"]
+    assert not (out / "mass_scan.json").exists()
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "vf"
     rc = main(["verify", "--theorem", "A.3", "--p", "4", "--tau", "0.2,0.1",
@@ -181,10 +203,11 @@ def test_verify_and_sweep_refuse_settings_their_run_ignores(tmp_path):
     ["evolve", "--lambda", "1.8", "--T", "0.01", "--record-every", "0"],
     ["evolve", "--lambda", "1.8", "--T", "0.01", "--record-every", "-3"],
     ["verify", "--theorem", "1.3", "--lambdas="],
-    ["verify", "--theorem", "A.3", "--tau=,"]])
+    ["verify", "--theorem", "A.3", "--tau=,"],
+    ["sweep", "--lambda-grid=,"]])
 def test_empty_or_nonpositive_settings_are_config_errors(tmp_path, argv):
     """A record interval below one step and an empty frequency list for
-    theorem 1.3 or A.3 exit 2 with a message, not with a traceback."""
+    theorem 1.3, A.3 or a sweep exit 2 with a message, not with a traceback."""
     tiny = ["--p", "4", "--K", "16", "--Mz", "64", "--Lz", "8"]
     assert main([*argv, *tiny, "--outdir", str(tmp_path / "x")]) == 2
 
