@@ -7,9 +7,9 @@ stable, > 0 unstable.  The slope's primary estimator solves the
 linearized equation for the frequency derivative chi = du/dlambda (one
 linear solve); centered finite differences are the cross-check.  The same
 chi is the branch tangent: every warm-started solve is a continued_solve
-from the Euler predictor u + (lambda' - lambda) chi of the previous state
-(u alone without a tangent) that falls back to the cold start, and the
-sweep is one such chain over its sorted grid.
+from the previous state, by the Euler predictor u + (lambda' - lambda) chi
+unless the grid changes within its family, that falls back to the cold
+start, and the sweep is one such chain over its sorted grid.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ import numpy as np
 from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
                      MassTooLarge, NearSingular, NotConverged)
-from .ground_state import (GroundStateResult, Resolution, SolverOptions,
-                           linearized_smallest_eigs, solve_chi, solve_ground_state)
+from .ground_state import (COLLAPSE_MASS, FAR_SWITCH, GroundStateResult, Resolution,
+                           SolverOptions, grid_for, linearized_smallest_eigs, solve_chi,
+                           solve_ground_state)
 from .limits import shoot_3d, soliton_1d
 
 SLOPE_TOL = 1e-8        # |dM/dlambda| at or below this is "undetermined"
@@ -99,18 +100,31 @@ REFINE_ITERS = 500      # iteration budget of a warm-started solve
 
 def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent: Field | None,
                     resolution: Resolution, opts: SolverOptions) -> GroundStateResult:
-    """Continue the branch from warm to params.lam: solve from the Euler
+    """Continue the branch from warm to params.lam within REFINE_ITERS
+    iterations, from the cold start when that fails or there is no warm state.
+
+    Within one grid_for family (both lambda <= FAR_SWITCH, or both tau < 1)
+    the grids are dilations of one another, so a start onto a new grid of
+    warm's family is warm.u's nodal values on the dilated nodes, its
+    amplitude left to the Nehari projection.  Otherwise it is the Euler
     predictor warm.u + (lambda - warm.lambda) * tangent (warm.u without a
-    tangent) within REFINE_ITERS iterations, and from the cold start when
-    that fails or there is no warm state."""
+    tangent), which solve_ground_state resamples across a family switch.
+    """
+    grid = grid_for(params, resolution)
     if warm is not None:
-        init = warm.u if tangent is None else warm.u + (params.lam - warm.params.lam) * tangent
+        src, old = warm.u.grid, warm.params
+        if (not src.compatible(grid) and (src.K, src.Mz, src.nr) == (grid.K, grid.Mz, grid.nr)
+                and (old.lam <= FAR_SWITCH) == (params.lam <= FAR_SWITCH)
+                and (old.tau < 1.0) == (params.tau < 1.0)):
+            init = Field(grid, values=warm.u.values, real=True)
+        else:
+            init = warm.u if tangent is None else warm.u + (params.lam - old.lam) * tangent
         budget = replace(opts, max_iter=min(opts.max_iter, REFINE_ITERS))
         try:
-            return solve_ground_state(params, init=init, resolution=resolution, opts=budget)
+            return solve_ground_state(params, init=init, opts=budget, grid=grid)
         except ConfinementLabError:
             pass
-    return solve_ground_state(params, resolution=resolution, opts=opts)
+    return solve_ground_state(params, opts=opts, grid=grid)
 
 
 def slope_finite_difference(p: float, lam: float,
@@ -273,6 +287,10 @@ class MassPair:
 
 
 MASS_MAX_ITER = 80      # solves of one tail's mass search
+# The far search stops at tau = pi COLLAPSE_MASS^{-2/3}: beyond it the cold
+# start exp(-omega |x|^2 / 2), of mass (pi / omega)^{3/2}, holds less than
+# COLLAPSE_MASS.
+FAR_TAU_MAX = math.pi * COLLAPSE_MASS ** (-2.0 / 3.0)
 
 
 def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
@@ -282,14 +300,18 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
     f(x) = log(M / c^2) is nearly linear in x = log tau, with slope expo.
     Until f changes sign each step follows the secant of the last two
     points (expo after the first), clamped to window, the tail's range of
-    x; then Illinois on the bracket.  Reaching the window's edge is
-    MassTooLarge; a bracket that collapses without a root is a jump in M,
+    x.  A step that needs less mass beyond the window is BracketNotFound,
+    unsolved; one that needs more is solved at the window's edge, and
+    MassTooLarge when it needs more there too.  Inside the bracket each
+    step follows the secant of the last two solves when that falls
+    strictly inside, else the Illinois step on the bracket, else
+    bisection.  A bracket that collapses without a root is a jump in M,
     and a tau that lambda cannot resolve (lambda rounds to LAMBDA0 or to
     the last solve's) is BracketNotFound too.
     """
     target = c * c
-    warm = None
-    xa = fa = xb = fb = None
+    warm = x1 = f1 = None           # x1, f1: the last solve
+    xa = fa = xb = fb = None        # the last two solves, then the bracket
     side = 0   # Illinois damping: halve the retained end when it repeats
     for _ in range(MASS_MAX_ITER):
         tau = math.exp(x)
@@ -302,6 +324,8 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
         if abs(res.mass - target) <= rel_tol * target:
             return res
         f = math.log(res.mass / target)
+        slope = expo if x1 is None else (f - f1) / (x - x1)
+        x1, f1 = x, f
         if fa is None or (fa > 0) == (fb > 0):     # not bracketed: keep the last two
             xa, fa, xb, fb = xb, fb, x, f
         elif (f > 0) == (fa > 0):
@@ -315,17 +339,25 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
                 fa *= 0.5
             side = +1
         if fa is None or (fa > 0) == (fb > 0):
-            slope = expo if fa is None else (fb - fa) / (xb - xa)
             # a secant of the wrong sign (M not monotone there) gives way to expo
-            x = min(max(xb - fb / (slope if slope * expo > 0 else expo), window[0]), window[1])
-            if x == xb:
+            step = x - f / (slope if slope * expo > 0 else expo)
+            x = min(max(step, window[0]), window[1])
+            if f > 0 and x != step:
+                raise BracketNotFound(
+                    f"p={p:g}, c={c:g}: the {tail}-tail mass is {res.mass:.4g} at tau={tau:.3g}, "
+                    f"and its power law puts M={target:.4g} at tau={math.exp(step):.3g}, beyond "
+                    f"the search's end tau={math.exp(x):.3g}")
+            if x == x1:
                 raise MassTooLarge(f"target mass {target:.4g} above the {tail} tail "
-                                   f"(M={res.mass:.4g} at its edge lambda={res.params.lam:.4g})")
+                                   f"(M={res.mass:.4g} at its edge lambda={lam:.4g})")
         else:
-            x = xb - fb * (xb - xa) / (fb - fa)
-            if not min(xa, xb) < x < max(xa, xb):
+            lo, hi = min(xa, xb), max(xa, xb)
+            x = x - f / slope if slope else math.nan   # no secant: nan fails the test
+            if not lo < x < hi:
+                x = xb - fb * (xb - xa) / (fb - fa)
+            if not lo < x < hi:
                 x = 0.5 * (xa + xb)
-            if not min(xa, xb) < x < max(xa, xb):
+            if not lo < x < hi:
                 raise BracketNotFound(
                     f"p={p:g}, c={c:g}: the {tail}-tail mass jumps across {target:.4g} "
                     f"between lambda={LAMBDA0 - math.exp(xa)!r} and {LAMBDA0 - math.exp(xb)!r}")
@@ -343,7 +375,7 @@ def find_mass_pair(p: float, c: float,
     of M(lambda) decay, and c small enough that the target mass c^2 lies
     below both tails' reach.  Each tail's root is sought in log tau from
     its power law (_tail_mass_root): the far tail (lambda <= 0) from
-    lambda = -8, the near tail (tau <= 1) from the tau at which the 1D
+    lambda = -8 out to tau = FAR_TAU_MAX, the near tail (tau <= 1) from the tau at which the 1D
     soliton's mass law gives c^2.  The returned pair carries stability
     tags from the slope criterion: the larger frequency is the stable one.
     """
@@ -354,7 +386,8 @@ def find_mass_pair(p: float, c: float,
 
     # far tail: M ~ |lambda|^{2/(p-2)-3/2} int vtilde^2, increasing in lambda
     low = _tail_mass_root(p, c, "far", math.log(LAMBDA0 + 8.0), 2.0 / (p - 2.0) - 1.5,
-                          (math.log(LAMBDA0), math.inf), resolution, opts, mass_rel_tol)
+                          (math.log(LAMBDA0), math.log(FAR_TAU_MAX)), resolution, opts,
+                          mass_rel_tol)
     # near tail: M ~ tau^{2/(p-2)-1/2} int what^2, decreasing in lambda
     expo_near = 2.0 / (p - 2.0) - 0.5
     x_est = math.log(c * c / soliton_1d(p).mass) / expo_near

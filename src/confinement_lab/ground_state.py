@@ -365,8 +365,11 @@ def solve_ground_state(params: ModelParams, init: Field | None = None,
 
     With init=None the solve starts from the isotropic Gaussian
     exp(-omega (r^2 + z^2) / 2) at the grid's own radial scale; a Field
-    start is resampled onto the grid if needed (zero beyond its own axial
-    box) and reduced to its even sector.  One start is run: a start of (numerically) zero mass raises
+    start is reduced to its even sector, after a resample onto the grid
+    (zero beyond its own axial box) when its grid is not compatible: a
+    start continued within a grid family arrives relabeled onto the grid
+    (branch.continued_solve), so only one across a family switch is
+    resampled.  One start is run: a start of (numerically) zero mass raises
     CollapsedToZero, one that does not converge or lands on a
     sign-changing state NotConverged.
     """

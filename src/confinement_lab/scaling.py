@@ -20,7 +20,11 @@ beyond the source box, where the Fourier series would repeat the field.
 Every solve runs in physical variables; these maps carry its results to
 the limit problems for the asymptotic checks.  The far-regime solve grid
 (ground_state.grid_for) is the image of the unit grid under from_v, so
-to_v of a far ground state lands on the unit grid.
+to_v of a far ground state lands on the unit grid.  The grids of one
+grid_for family are dilations of one another as well, so a warm start
+within a family keeps its nodal values on the dilated nodes
+(branch.continued_solve); resample carries a start only across a family
+switch.
 """
 
 from __future__ import annotations

@@ -108,6 +108,9 @@ def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions()) ->
     """Finite interior maximum of the mass curve; both tails decay below it."""
     grid = default_lambda_grid(lam_min=-40.0, tau_min=0.01)
     curve = sweep(p, grid, resolution=resolution, opts=opts, compute_eig=False)
+    if not curve.samples:       # every sample failed: no curve to bound
+        return {"check": "mass_bound", "p": p, "n_failures": len(curve.failures),
+                "verdict": "undetermined"}
     scan = mass_sup_scan(curve)
     masses = curve.masses()
     tails_ok = (masses[0] <= TAIL_FRAC * scan.max_mass

@@ -414,3 +414,90 @@ def test_solve_chi_refines_past_minres_estimate():
     _, slope = solve_chi(state)
     fd = slope_finite_difference(2.5, -40.0, resolution=res, warm=state)
     assert slope == pytest.approx(fd, rel=1e-4)
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name to record the result of each call."""
+    real, results = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return results
+
+
+def test_find_mass_pair_relabels_within_grid_families(monkeypatch):
+    """On the default grid the pair at p = 4, c = 1.4142 takes at most 8
+    solves and 55 descent/Newton iterations, and no warm start is
+    resampled: each tail's grids are dilations of one another (9, 84 and
+    7 when every cross-grid start was resampled and the bracket took
+    Illinois steps)."""
+    from confinement_lab import branch, ground_state
+    resamples = _counted(monkeypatch, ground_state, "resample")
+    solves = _counted(monkeypatch, branch, "solve_ground_state")
+    pair = find_mass_pair(4.0, 1.4142)
+    assert (pair.tag_low, pair.tag_high) == ("unstable", "stable")
+    assert len(solves) <= 8 and sum(r.iterations for r in solves) <= 55 and not resamples
+
+
+def test_sweep_resamples_only_at_family_switches(monkeypatch):
+    """The default p = 4 sweep resamples one start per grid-family switch:
+    far to unit at FAR_SWITCH and unit to near at tau = 1."""
+    from confinement_lab import ground_state
+    resamples = _counted(monkeypatch, ground_state, "resample")
+    curve = sweep(4.0, compute_eig=False)
+    assert not curve.failures and len(resamples) == 2
+
+
+def test_continued_solve_relabels_in_family_and_resamples_across(monkeypatch, state_far_p4):
+    """From the far state at lambda = -40, a step to -50 starts from the
+    same nodal values on the dilated far grid, with no resample; a step to
+    -5, on the unit grid, resamples the start."""
+    from confinement_lab import branch, ground_state
+    from confinement_lab.ground_state import SolverOptions, grid_for
+    resamples = _counted(monkeypatch, ground_state, "resample")
+    starts = _recorded_starts(monkeypatch)
+    for lam in (-50.0, -5.0):
+        branch.continued_solve(ModelParams(p=4.0, lam=lam), state_far_p4, None,
+                               Resolution(), SolverOptions())
+    (_, far), (_, unit) = starts
+    assert far.grid is grid_for(ModelParams(p=4.0, lam=-50.0))
+    assert np.array_equal(far.values, state_far_p4.u.values)
+    assert unit is state_far_p4.u and len(resamples) == 1
+
+
+@pytest.mark.parametrize("c", [2**0.5, 1.0])
+def test_mass_root_secant_inside_bracket(monkeypatch, c):
+    """On the synthetic far-tail law M = C tau^{-1/2} (1 + a/tau), modelled
+    on p = 4 (C = 19, a = 1), the search reaches c^2 to 1e-7 in at most 5
+    solves; Illinois steps on the bracket took 6."""
+    import math
+    from types import SimpleNamespace
+    from confinement_lab import branch
+    from confinement_lab.ground_state import SolverOptions
+    taus = []
+
+    def law(params, warm, tangent, resolution, opts):
+        taus.append(params.tau)
+        return SimpleNamespace(params=params, mass=19.0 * params.tau**-0.5 * (1.0 + 1.0 / params.tau))
+
+    monkeypatch.setattr(branch, "continued_solve", law)
+    res = branch._tail_mass_root(4.0, c, "far", math.log(10.0), -0.5, (math.log(LAMBDA0), math.inf),
+                                 Resolution(), SolverOptions(), 1e-7)
+    assert abs(res.mass / c**2 - 1.0) <= 1e-7 and len(taus) <= 5
+
+
+def test_find_mass_pair_far_root_beyond_the_search_is_typed(monkeypatch):
+    """At p = 3.5 the far-tail exponent is -1/6, and the first solve puts
+    c^2 = 0.09 at tau ~ 2e16, beyond FAR_TAU_MAX, where the cold start
+    holds no mass above COLLAPSE_MASS: the search names p, c, the far tail
+    and that tau after one solve, instead of collapsing there."""
+    from confinement_lab import branch
+    solves = _counted(monkeypatch, branch, "solve_ground_state")
+    with pytest.raises(BracketNotFound, match=r"p=3.5, c=0.3: the far-tail mass is \S+ at "
+                                              r"tau=10, .* tau=2.\d+e\+16, beyond the search's "
+                                              r"end tau=3.14e\+08"):
+        find_mass_pair(3.5, 0.3)
+    assert len(solves) == 1

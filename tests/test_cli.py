@@ -107,6 +107,25 @@ def test_verify_mass_bound_tiny_grid(tmp_path):
     assert "jobs" not in json.loads((out / "run_config.json").read_text())
 
 
+def test_verify_mass_bound_with_every_sample_failed_is_undetermined(tmp_path, monkeypatch):
+    """verify --theorem A.8 whose sweep fails at every frequency has no
+    curve to bound: it writes an undetermined verdict with the failure
+    count and exits 0, like any verdict."""
+    from confinement_lab import branch
+    from confinement_lab.errors import NotConverged
+
+    def not_converged(*args, **kwargs):
+        raise NotConverged(3, 1.0)
+
+    monkeypatch.setattr(branch, "solve_ground_state", not_converged)
+    out = tmp_path / "a8"
+    assert main(["verify", "--theorem", "A.8", "--p", "4", "--K", "16", "--Mz", "64",
+                 "--Lz", "8", "--outdir", str(out)]) == 0
+    verdict = json.loads((out / "verify_A_8.json").read_text())
+    assert verdict["verdict"] == "undetermined" and verdict["check"] == "mass_bound"
+    assert verdict["n_failures"] == 28
+
+
 def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
     """verify --theorem slopes records the two lowest sector eigenvalues of
     each end state, and its verdict needs exactly one of them negative."""
