@@ -36,11 +36,11 @@ from .errors import GramCheckFailed, ShapeMismatch
 
 GRAM_TOL = 1e-10
 
-# Default resolution: adequate for frequencies in [-40, 2) at quartic
-# nonlinearity; the axial box is rescaled per run where needed.
+# Half-box in the state's own units (each grid family rescales to it): tail mass ~exp(-2 Lz) ~ 4e-11.
+# The spacing dz = 0.1875 sets the accuracy: Mz = 128 on Lz = 24 is off by 8.4e-3 at lambda = 0.
 DEFAULT_K = 48
-DEFAULT_MZ = 256
-DEFAULT_LZ = 24.0
+DEFAULT_MZ = 128
+DEFAULT_LZ = 12.0
 
 
 def scaled_laguerre(t: np.ndarray, K: int) -> np.ndarray:

@@ -173,11 +173,24 @@ def test_default_start_matches_limit_start(p, lam):
     assert res.mass == pytest.approx(ref.mass, rel=1e-8)
 
 
+@pytest.mark.parametrize("lam", [-40.0, -7.57, 0.0, 1.5, 1.95])
+def test_default_box_matches_doubled_box(lam):
+    """Every grid family holds the half-box at Lz = 12 in the state's own
+    units, leaving a tail mass of about exp(-2 Lz) outside it: doubling the
+    box and the node count at the same spacing gives the same state."""
+    params = ModelParams(p=4.0, lam=lam)
+    res = solve_ground_state(params)
+    ref = solve_ground_state(params, resolution=Resolution(Mz=256, Lz=24.0))
+    assert res.mass == pytest.approx(ref.mass, rel=1e-8)
+    assert res.action == pytest.approx(ref.action, rel=1e-8)
+
+
 def test_positivity_floor_counts_axial_tail(state_near_p4):
-    """At tau = 0.05 on K=24, Mz=128 the ground state dips to -1.1e-8 of
-    its peak: deeper than its radial coefficient tail (9.2e-9), within its
+    """At tau = 0.05 on K=24, Mz=128, Lz=24 the ground state dips to -1.1e-8
+    of its peak: deeper than its radial coefficient tail (9.2e-9), within its
     axial one (9.5e-6).  It is accepted, and matches the default-grid action."""
-    res = solve_ground_state(ModelParams(p=4.0, lam=1.95), resolution=Resolution(K=24, Mz=128))
+    res = solve_ground_state(ModelParams(p=4.0, lam=1.95),
+                             resolution=Resolution(K=24, Mz=128, Lz=24.0))
     assert res.u.values.min() < -1e-8 * res.u.values.max()
     assert res.action == pytest.approx(state_near_p4.action, rel=1e-7)
 

@@ -5,7 +5,7 @@ from confinement_lab.core import LAMBDA0, Field, ModelParams, project_Q
 from confinement_lab.functionals import (action_stiff_plane, action_weak_trap,
                                          h1_distance, nehari_residual_stiff_plane,
                                          nehari_residual_weak_trap, report)
-from confinement_lab.grid import build
+from confinement_lab.grid import DEFAULT_LZ, build
 from confinement_lab.scaling import (action_factor_stretched, action_factor_weak_trap,
                                      from_v, from_w, mass_factor_weak_trap,
                                      resample, scaling_report, to_v, to_w)
@@ -169,7 +169,7 @@ def test_picture_independence(shot3d_p4):
     assert gu.omega == 8.0
     # weak-trap route on the unit grid that the far grid relabels onto, to
     # the same tolerance: ||grad J_lambda(u)|| = |lambda|^{1/(p-2)+1/4} ||grad J_weak(v)||
-    gv = build(K=gu.K, Mz=gu.Mz, Lz=24.0)
+    gv = build(K=gu.K, Mz=gu.Mz, Lz=DEFAULT_LZ)
     prob_v = WeakTrapProblem(grid=gv, p=P, lam=lam, mu=params.mu)
     tol = SolverOptions().tol_grad / (-lam) ** (1.0 / (P - 2.0) + 0.25)
     start = gv.reduce_even(free_soliton_field(P, gv, profile=shot3d_p4).coeffs)
