@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .core import LAMBDA0, Field, ModelParams
 from .grid import Discretization, build
-from .functionals import FunctionalReport, gradient, pohozaev_residual, report, scaled_actions
+from .functionals import FunctionalReport, gradient, pohozaev_residual, report
 from .ground_state import (GroundStateResult, Resolution, SolverOptions,
                            linearized_smallest_eigs, nehari_scale, solve_chi,
                            solve_ground_state)
@@ -27,7 +27,7 @@ from .dynamics import EvolutionConfig, EvolutionTrace, evolve, orbital_distance
 __all__ = [
     "LAMBDA0", "Field", "ModelParams",
     "Discretization", "build",
-    "FunctionalReport", "gradient", "pohozaev_residual", "report", "scaled_actions",
+    "FunctionalReport", "gradient", "pohozaev_residual", "report",
     "GroundStateResult", "Resolution", "SolverOptions",
     "linearized_smallest_eigs", "nehari_scale", "solve_chi", "solve_ground_state",
     "ShotProfile", "Soliton1D", "shoot_1d", "shoot_3d", "soliton_1d",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import LAMBDA0, Field, ModelParams
 from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
-                     MassTooLarge, NearSingular, NotConverged)
+                     MassTooLarge, NotConverged)
 from .ground_state import (COLLAPSE_MASS, FAR_SWITCH, GroundStateResult, Resolution,
                            SolverOptions, grid_for, linearized_smallest_eigs, solve_chi,
                            solve_ground_state)
@@ -42,8 +42,8 @@ class BranchSample:
     slope_fd: float          # nan when not computed
     stability: str           # "stable" | "unstable" | "undetermined"
     eig_min: float           # smallest symmetric-sector eigenvalue (nan if skipped)
-    # chi = du/dlambda (None on the FD fallback); not in the CSV, and
-    # a sweep drops it once the next solve has its start
+    # chi = du/dlambda; not in the CSV, and a sweep drops it once the
+    # next solve has its start
     tangent: Field | None = field(default=None, repr=False, compare=False)
 
     def row(self) -> list:
@@ -142,13 +142,9 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
                    compute_eig: bool = True,
                    resolution: Resolution = Resolution(),
                    opts: SolverOptions = SolverOptions()) -> BranchSample:
-    """Slope, stability tag, lowest sector eigenvalue and tangent of one state."""
-    try:
-        tangent, slope = solve_chi(result)
-    except NearSingular:
-        tangent = None
-        slope = slope_finite_difference(result.params.p, result.params.lam,
-                                        resolution=resolution, opts=opts, warm=result)
+    """Slope, stability tag, lowest sector eigenvalue and tangent of one
+    state; solve_chi's error on a near-singular chi solve propagates."""
+    tangent, slope = solve_chi(result)
     slope_fd = float("nan")
     if compute_fd:
         slope_fd = slope_finite_difference(result.params.p, result.params.lam,
@@ -180,9 +176,9 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     negative frequency up.
 
     The first sample starts cold; each later one is a continued_solve from
-    the last sample that succeeded, with that sample's tangent chi (none
-    where the slope fell back to finite differences).  A sample that fails
-    is kept in failures as (lambda, exception) and fails alone.
+    the last sample that succeeded, with that sample's tangent chi.  A
+    sample that fails (its solve, its chi solve or its eigensolve) is kept
+    in failures as (lambda, exception) and fails alone.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -252,12 +248,9 @@ def asymptotic_constants(curve: BranchCurve, regime: str) -> AsymptoticFit:
     else:
         raise ValueError(f"unknown regime {regime!r}")
     # linear-in-parameter extrapolation from the two samples closest to the limit
-    if len(vals) >= 2:
-        q1, q0 = vals[1], vals[0]
-        p1, p0 = par[1], par[0]
-        extrap = q0 - p0 * (q1 - q0) / (p1 - p0)
-    else:
-        extrap = vals[0]
+    q1, q0 = vals[1], vals[0]
+    p1, p0 = par[1], par[0]
+    extrap = q0 - p0 * (q1 - q0) / (p1 - p0)
     return AsymptoticFit(regime=regime, exponent=expo, parameters=par,
                          premultiplied=vals, extrapolated=float(extrap),
                          predicted=float(predicted))
@@ -442,17 +435,11 @@ def mass_sup_scan(curve: BranchCurve) -> MassScan:
     while j - 1 >= 0 and slopes[j] < 0:
         j -= 1
     tails_found = slopes[0] > 0 and slopes[-1] < 0 and i > 0 and j < len(slopes) - 1
-    if tails_found:
-        lt1 = lams[max(i - 1, 0)]
-        lt2 = lams[min(j + 1, len(lams) - 1)]
-    else:
-        lt1, lt2 = lams[0], lams[-1]
-    flagged = not tails_found or not lt1 < lt2
-    if flagged:
-        lt1, lt2 = lams[0], lams[-1]
+    flagged = not (tails_found and lams[i - 1] < lams[j + 1])
+    lt1, lt2 = (lams[0], lams[-1]) if flagged else (lams[i - 1], lams[j + 1])
     window = (lams >= lt1) & (lams <= lt2)
     actions = np.array([s.action for s in curve.samples])
-    c_tilde = float(actions[window].max()) if window.any() else float(actions.max())
+    c_tilde = float(actions[window].max())
     denom = LAMBDA0 - lt2
     bound = np.sqrt(2.0 * p * c_tilde / ((p - 2.0) * denom)) if denom > 0 else float("inf")
     return MassScan(max_mass=float(masses[i_max]), argmax_lambda=float(lams[i_max]),

@@ -4,7 +4,8 @@ Every run writes the exact configuration used (JSON) next to its outputs,
 plus checksums for binary fields, so results are reproducible from the
 output directory alone.  Exit codes: 0 success (verify may still report
 failed/undetermined verdicts in its JSON), 2 configuration error,
-3 solver non-convergence.
+3 solver failure (NotConverged, a near-singular chi solve, an eigensolve
+that does not converge, or a sweep with a failed sample).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import ModelParams, save_field
-from .errors import ConfinementLabError, NotConverged
+from .errors import ConfinementLabError, EigsNotConverged, NearSingular, NotConverged
 from .functionals import report
 from .ground_state import Resolution, SolverOptions, solve_ground_state
 from .branch import (analyze_sample, default_lambda_grid, find_mass_pair,
@@ -152,7 +153,7 @@ def cmd_solve(args) -> int:
     params = ModelParams(p=args.p, lam=args.lam)
     result = solve_ground_state(params, resolution=res, opts=opts)
     rep = report(result.u, params)
-    sample = analyze_sample(result, resolution=res, opts=opts)
+    sample = analyze_sample(result)
     save_field(result.u, args.outdir / "u", p=args.p, lam=args.lam)
     meta = {
         "lambda": args.lam, "p": args.p,
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
                 "limits": cmd_limits, "pair": cmd_pair, "evolve": cmd_evolve}
     try:
         return handlers[args.cmd](args)
-    except NotConverged as exc:
+    except (NotConverged, NearSingular, EigsNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConfinementLabError, ValueError) as exc:

@@ -54,6 +54,7 @@ from .functionals import quadratic_parts
 
 PERTURBATION_SHAPES = ("even_random", "ground_mode", "z_dilation")
 NEWTON_STEPS = 8    # orbital distance: Newton steps on the best shift
+ENERGY_CHECK_STEP = 10    # the step after which the energy drift is checked
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class EvolutionConfig:
     shape: str = "even_random"
     record_every: int = 10
     seed: int = 1234
-    check_first_steps: int = 10
     stop_when_distance: float | None = None   # early exit for escape runs
 
     def __post_init__(self):
@@ -155,7 +155,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     the state is written in the Field snapshot format at every record point.
     psi0 is stepped on the even half grid; a start that is not even in z
     raises ShapeMismatch.  Raises StepTooLarge if the relative energy drift
-    over the first few steps exceeds 1e-3.
+    over the first ENERGY_CHECK_STEP steps exceeds 1e-3.
     """
     g = psi0.grid
     if g.omega != 1.0:
@@ -228,7 +228,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     for step in range(1, n_steps + 1):
         state = linear(state)
         recorded = step % cfg.record_every == 0 or step == n_steps
-        if not recorded and step != cfg.check_first_steps:
+        if not recorded and step != ENERGY_CHECK_STEP:
             rotate(state, dt)
             continue
         rotate(state, 0.5 * dt)
@@ -237,7 +237,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
             if cfg.stop_when_distance is not None and ref_data and \
                     dists[-1] > cfg.stop_when_distance:
                 break
-        if step == cfg.check_first_steps:
+        if step == ENERGY_CHECK_STEP:
             drift = abs(energy_value(observe(state)[1], p) - e0) / scale
             if drift > 1e-3:
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")

@@ -94,21 +94,6 @@ def nehari_residual_stiff_plane(w: Field, tau: float, p: float) -> float:
     return osc_excess / tau + q["kin_z"] + q["l2"] - lp_integral(w, p)
 
 
-def scaled_actions(u: Field, params: ModelParams) -> tuple[float | None, float]:
-    """Actions of the two rescaled problems, evaluated on the mapped field.
-
-    Returns (weak-trap action at mu, stretched action at tau); the first is
-    None when lambda >= 0 (the weak-trap picture needs lambda < 0).
-    """
-    from .scaling import to_v, to_w
-
-    jv = None
-    if params.lam < 0:
-        jv = action_weak_trap(to_v(u, params.lam, params.p), params.mu, params.p)
-    jw = action_stiff_plane(to_w(u, params.lam, params.p), params.tau, params.p)
-    return jv, jw
-
-
 def pohozaev_residual(u: Field, params: ModelParams) -> float:
     """Derivative of the action along the axial dilation u_s(y,z) = u(y, z/s).
 

@@ -250,23 +250,37 @@ def test_chain_starts_from_euler_predictor(monkeypatch):
     assert np.abs(starts[1][1].coeffs - warm.u.coeffs).max() > 1e-3 * np.abs(warm.u.coeffs).max()
 
 
-def test_chain_falls_back_to_warm_state_without_tangent(monkeypatch):
-    """When solve_chi is near singular the slope comes from finite
-    differences and the next solve starts from the previous state itself."""
+def test_near_singular_sample_fails_typed(monkeypatch):
+    """A near-singular chi solve fails its sample with NearSingular; no
+    finite-difference slope stands in for it, and the chain goes on."""
     from confinement_lab import branch
     from confinement_lab.errors import NearSingular
+    real = branch.solve_chi
+    fd_calls = []
 
-    def near_singular(result):
-        raise NearSingular("forced")
+    def near_singular_at_0_6(result):
+        if result.params.lam == 0.6:
+            raise NearSingular("forced")
+        return real(result)
 
-    monkeypatch.setattr(branch, "solve_chi", near_singular)
-    monkeypatch.setattr(branch, "slope_finite_difference", lambda *a, **k: -1.0)
-    resolution = Resolution(K=16, Mz=64)
-    starts = _recorded_starts(monkeypatch)
-    curve = sweep(4.0, [0.5, 0.6], resolution=resolution, compute_eig=False)
-    warm = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=resolution)
-    assert [s.stability for s in curve.samples] == ["stable", "stable"]
-    assert np.array_equal(starts[1][1].coeffs, warm.u.coeffs)
+    monkeypatch.setattr(branch, "solve_chi", near_singular_at_0_6)
+    monkeypatch.setattr(branch, "slope_finite_difference",
+                        lambda *a, **k: fd_calls.append(a) or -1.0)
+    curve = sweep(4.0, [0.5, 0.6, 0.7], Resolution(K=16, Mz=64), compute_eig=False)
+    assert list(curve.lambdas()) == [0.5, 0.7]
+    assert [(lam, type(exc)) for lam, exc in curve.failures] == [(0.6, NearSingular)]
+    assert not fd_calls
+
+
+def test_sweep_records_finite_difference_slopes():
+    """sweep(compute_fd=True) fills slope_fd, which agrees with slope_chi
+    within the 1% of verify --theorem slopes."""
+    curve = sweep(4.0, [-40.0, 0.5, 1.5], compute_fd=True)
+    assert not curve.failures
+    for s in curve.samples:
+        assert np.isfinite(s.slope_fd)
+        assert abs(s.slope_fd - s.slope_chi) <= 0.01 * abs(s.slope_chi)
+    assert [s.stability for s in curve.samples] == ["unstable", "unstable", "stable"]
 
 
 def test_predicted_chain_matches_cold_solves():

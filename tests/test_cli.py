@@ -84,6 +84,22 @@ def test_sweep_with_every_sample_failed_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "mass_scan.json").exists()
 
 
+@pytest.mark.parametrize("target, error", [("solve_chi", "NearSingular"),
+                                           ("linearized_smallest_eigs", "EigsNotConverged")])
+def test_solve_analysis_failure_exits_3(tmp_path, monkeypatch, capsys, target, error):
+    """A near-singular chi solve or an eigensolve that does not converge is a
+    solver failure, exit 3, not a configuration error."""
+    from confinement_lab import branch, errors
+
+    def failing(*args, **kwargs):
+        raise getattr(errors, error)("forced")
+
+    monkeypatch.setattr(branch, target, failing)
+    assert main(["solve", "--p", "4", "--lambda", "1.5", "--K", "16", "--Mz", "64",
+                 "--Lz", "8", "--outdir", str(tmp_path / "s")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "vf"
     rc = main(["verify", "--theorem", "A.3", "--p", "4", "--tau", "0.2,0.1",

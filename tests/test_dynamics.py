@@ -78,8 +78,7 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     # the state of the plain two-half-step Strang loop (p = 3 takes the
     # power in the rotation; the initial state need not be stationary)
     params = ModelParams(p=p, lam=stable_state.params.lam)
-    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=7,
-                          check_first_steps=10)
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=7)
     psi0 = perturbed_state(stable_state.u, cfg)
     g = psi0.grid
     observed = []
@@ -137,8 +136,7 @@ def test_odd_start_is_refused(stable_state, monkeypatch, p):
 def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, monkeypatch):
     # the step, the records (mass, energy, distance) and the snapshots all
     # run on the even half grid
-    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=10,
-                          check_first_steps=5)
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=10)
     psi0 = perturbed_state(stable_state.u, cfg)
 
     def forbidden(self, arr):
@@ -228,7 +226,7 @@ def test_seeded_perturbations_reproducible(stable_state):
 
 def test_step_too_large_guard(stable_state):
     params = stable_state.params
-    cfg = EvolutionConfig(dt=0.8, T=8.0, perturbation=0.1, check_first_steps=2)
+    cfg = EvolutionConfig(dt=0.8, T=8.0, perturbation=0.1)
     with pytest.raises(StepTooLarge):
         evolve(perturbed_state(stable_state.u, cfg), params, cfg)
 

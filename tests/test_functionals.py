@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confinement_lab.core import Field, ModelParams
-from confinement_lab.functionals import gradient, pohozaev_residual, report, scaled_actions
+from confinement_lab.functionals import gradient, pohozaev_residual, report
 from confinement_lab.grid import build
 from conftest import random_band_limited, zero_field
 
@@ -85,13 +85,6 @@ def test_gradient_zero_field(small_grid):
 def test_pohozaev_zero_and_scaling(small_grid):
     params = ModelParams(p=4.0, lam=0.0)
     assert pohozaev_residual(zero_field(small_grid), params) == 0.0
-
-
-def test_scaled_actions_zero(small_grid):
-    jv, jw = scaled_actions(zero_field(small_grid), ModelParams(p=4.0, lam=-2.0))
-    assert jv == 0.0 and jw == 0.0
-    jv, jw = scaled_actions(zero_field(small_grid), ModelParams(p=4.0, lam=1.0))
-    assert jv is None and jw == 0.0
 
 
 def test_nehari_scale_unimodal_action(medium_grid, rng):
