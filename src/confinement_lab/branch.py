@@ -132,10 +132,12 @@ def slope_finite_difference(p: float, lam: float,
                             opts: SolverOptions = SolverOptions(),
                             warm: GroundStateResult | None = None) -> float:
     """Centered difference (M(lam+FD_DELTA) - M(lam-FD_DELTA)) / (2 FD_DELTA),
-    both ends continued from warm."""
-    lo = continued_solve(ModelParams(p=p, lam=lam - FD_DELTA), warm, None, resolution, opts)
-    hi = continued_solve(ModelParams(p=p, lam=lam + FD_DELTA), warm, None, resolution, opts)
-    return (hi.mass - lo.mass) / (2.0 * FD_DELTA)
+    both ends solved from warm.u (cold without it) on lam's own grid, so
+    the discretization error of grid_for's lambda-dependent grids cancels."""
+    grid, init = grid_for(ModelParams(p=p, lam=lam), resolution), warm.u if warm else None
+    lo, hi = (solve_ground_state(ModelParams(p=p, lam=lam + s * FD_DELTA), init=init,
+                                 opts=opts, grid=grid).mass for s in (-1.0, 1.0))
+    return (hi - lo) / (2.0 * FD_DELTA)
 
 
 def analyze_sample(result: GroundStateResult, compute_fd: bool = False,

@@ -13,32 +13,35 @@ the next step's leading one compose exactly to one full rotation
 exp(+i dt |psi|^{p-2}); :func:`evolve` applies them as one and splits
 the rotation into two half-steps only where the state is observed (the
 record points, the early energy check and the last step), so the run
-is still exact Strang splitting at half the pointwise work.  Both
-sub-steps are L^2 isometries, so the mass drift is pure roundoff,
-provided the discrete transform pair is orthonormal to roundoff.  It is:
-:func:`grid.build` polishes the radial pair in sqrt(w) form, giving
-Q = sqrt(w) phi orthonormal columns and deriving phi and proj from Q.
-Polishing phi alone and forming proj afterwards leaves a fixed error in
-the low-mode block the state lives in, which every step applies again:
-a steady bias of about -1e-15 in relative mass per step.
+is still exact Strang splitting at half the pointwise work.  A rotation
+by theta takes one transcendental, t = tan(theta/2): cos theta =
+(1 - t^2)/(1 + t^2), sin theta = 2t/(1 + t^2) (no double is an odd
+multiple of pi/2, so t^2 cannot overflow).
 
 The flow keeps an even state even, and the start must be even in z (as
 Field.even_z measures it): the state is held on the even half grid (the
-Mz/2+1 nodes z >= 0) as the real pair (Re psi, Im psi), and the linear
-step is to_even, a turn of each even coefficient by the multiplier, and
-from_even: real GEMMs.  On the collocation grid the sqrt(w)-weighted
-DCT-I is orthogonal and the radial pair square, so to_even maps the
-half-grid norm (quad_even) onto the Euclidean norm of the even
-coefficients, the full-grid L^2 norm: both sub-steps stay isometries and
-the argument above carries over.  A record point expands one to_even and
-the half-grid values to a Field, so no full-grid transform runs.
+Mz/2+1 nodes z >= 0) as the real pair (Re psi, Im psi).  The multiplier
+separates, so the linear step is psi <- U_r psi U_z with one nodal
+propagator per axis, built once per run: U_r = (phi e^{-i dt osc}) proj
+(K x K) and U_z = (fwd e^{-i dt xi^2}) inv / Mz (M x M, fwd and inv the
+sqrt(w)-weighted DCT-I of grid._even_dct), applied in real GEMMs to the
+pair.  Both sub-steps are L^2 isometries, so the mass drift is pure
+roundoff, provided the transforms are orthonormal to roundoff.  They
+are: on the collocation grid (oversample=1) Q = sqrt(wrad) phi is
+square with orthonormal columns, polished in that form by
+:func:`grid.build`, so U_r = W^{-1/2} Q diag(e) Q^T W^{1/2} is unitary
+in the wrad-weighted norm (polishing phi alone and forming proj
+afterwards left a steady mass bias of about -1e-15 per step), and the
+sqrt(w)-weighted DCT-I makes U_z unitary in the wz-weighted norm of
+quad_even in the same way.  A record reads the pair: one to_even gives
+its sqrt(w)-weighted even coefficients, from which, with the half-grid
+values, come mass, energy and orbital distance; a full-grid Field is
+built only for a snapshot.
 
 Orbital distance to a standing-wave orbit quotients out the global phase
-(closed form) and axial translations (trig-polynomial scan over the box
-followed by a Newton polish), in the trap-weighted H metric, reported
-relative to the H norm of the reference state.  The distance at the
-optimal phase and shift is evaluated directly in coefficient space, so
-a state on the orbit measures 0 to roundoff.
+(closed form) and axial translations (scan and Newton polish) in the
+trap-weighted H metric, evaluated directly in coefficient space, so a
+state on the orbit measures 0 to roundoff.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field, ModelParams
+from .core import Field, ModelParams, save_field
 from .errors import ShapeMismatch, StepTooLarge
 from .functionals import quadratic_parts
+from .grid import Discretization, _even_dct, build
 
 PERTURBATION_SHAPES = ("even_random", "ground_mode", "z_dilation")
 NEWTON_STEPS = 8    # orbital distance: Newton steps on the best shift
@@ -92,16 +96,14 @@ class EvolutionTrace:
                    header="t,mass,energy,orbital_distance", comments="")
 
 
-def energy_value(psi: Field, p: float) -> float:
-    """Conserved energy: (1/2) int |grad psi|^2 + |y|^2 |psi|^2 - (1/p) int |psi|^p.
-
-    The quadratic part is <c, (-Delta + |y|^2) c> on the coefficients c."""
-    g, c, vals = psi.grid, psi.coeffs, psi.values
-    quad = float(np.vdot(c, g.apply_lin(c, 0.0)).real)
-    mod = vals.real ** 2
-    if np.iscomplexobj(vals):
-        mod += vals.imag ** 2
-    return 0.5 * quad - float(g.quad(mod ** (0.5 * p))) / p
+def energy_value(g: Discretization, coeffs: np.ndarray, values: np.ndarray, p: float) -> float:
+    """Conserved energy (1/2) int |grad psi|^2 + |y|^2 |psi|^2 - (1/p) int |psi|^p
+    of an even state, from the sqrt(w)-weighted even coefficients and the
+    half-grid values of (Re psi, Im psi) on the unit-frequency grid g."""
+    quad = float(np.sum(g.lin_diag(coeffs.shape[-1], 0.0) * (coeffs[0] ** 2 + coeffs[1] ** 2)))
+    mod = values[0] ** 2
+    mod += values[1] ** 2
+    return 0.5 * quad - float(g.quad_even(mod ** (0.5 * p))) / p
 
 
 def make_perturbation(u: Field, shape: str, amplitude: float, seed: int) -> Field:
@@ -150,12 +152,13 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
            snapshot_dir=None) -> EvolutionTrace:
     """Integrate the flow and record mass, energy, and orbital distance.
 
-    The reference (typically the ground state the run probes) is only used
-    for the distance series; pass None to skip it.  With snapshot_dir set,
-    the state is written in the Field snapshot format at every record point.
-    psi0 is stepped on the even half grid; a start that is not even in z
-    raises ShapeMismatch.  Raises StepTooLarge if the relative energy drift
-    over the first ENERGY_CHECK_STEP steps exceeds 1e-3.
+    The reference (typically the ground state the run probes) gives the
+    distance series; pass None to skip it.  With snapshot_dir set, the
+    state is written in the Field snapshot format at every record point.
+    psi0 is stepped on the even half grid; a start that is not even in z,
+    or a reference that is not real and even, raises ShapeMismatch.  Raises
+    StepTooLarge if the relative energy drift over the first
+    ENERGY_CHECK_STEP steps exceeds 1e-3.
     """
     g = psi0.grid
     if g.omega != 1.0:
@@ -165,68 +168,53 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     if reference is not None and not g.compatible(reference.grid):
         raise ShapeMismatch("reference on a different grid")
     if g.nr != g.K:
-        # move to the collocation (square-transform) grid: same basis, same
-        # coefficients, but nodal <-> spectral is unitary there, which makes
-        # both split sub-steps exact L^2 isometries
-        from .grid import build
+        # the collocation grid: same basis and coefficients, but nodal <->
+        # spectral is unitary, so both sub-steps are exact L^2 isometries
         g = build(K=g.K, Mz=g.Mz, Lz=g.Lz, omega=g.omega, oversample=1)
-        if reference is not None:
-            reference = Field(g, coeffs=reference.coeffs, real=reference.real)
-    p = params.p
-    dt = cfg.dt
+    p, dt = params.p, cfg.dt
     n_steps = int(round(cfg.T / dt))
     ref_data = _reference_data(reference) if reference is not None else None
 
     c = psi0.coeffs
     state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
-    angle = dt * g.lin_diag(state.shape[-1], 0.0)
-    lin_cos, lin_sin = np.cos(angle), -np.sin(angle)
-
-    def linear(state):
-        coeffs = g.to_even(state)
-        _turn(coeffs, lin_cos, lin_sin)
-        return g.from_even(coeffs)
-
-    def observe(state):
-        # the mass and the Field of the state, through one to_even
-        coeffs, vals = g.expand_even(g.to_even(state), state)
-        fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=coeffs[0] + 1j * coeffs[1],
-                    real=False)
-        return float(g.quad_even(state[0] ** 2 + state[1] ** 2)), fld
-
-    e0 = energy_value(observe(state)[1], p)
+    linear = _propagator(g, dt)
+    e0 = energy_value(g, g.to_even(state), state, p)
     scale = max(abs(e0), 1.0)
 
     times, masses, energies, dists = [], [], [], []
 
     def record(step, state):
-        mass, fld = observe(state)
+        coeffs = g.to_even(state)
         times.append(step * dt)
-        masses.append(mass)
-        energies.append(energy_value(fld, p))
-        dists.append(orbital_distance_data(fld, ref_data) if ref_data else float("nan"))
+        masses.append(float(g.quad_even(state[0] ** 2 + state[1] ** 2)))
+        energies.append(energy_value(g, coeffs, state, p))
+        dists.append(orbital_distance_data(coeffs, ref_data) if ref_data else float("nan"))
         if snapshot_dir is not None:
-            from .core import save_field
+            full, vals = g.expand_even(coeffs, state)
+            fld = Field(g, values=vals[0] + 1j * vals[1], coeffs=full[0] + 1j * full[1], real=False)
             save_field(fld, Path(snapshot_dir) / f"psi_{step:08d}",
                        p=p, lam=params.lam, extra={"t": step * dt})
 
     def rotate(state, h):
-        # re + i im *= exp(i h |psi|^{p-2}) in place; cos and sin of the
-        # angle cost less than a complex exp
+        # re + i im *= exp(i theta), theta = h |psi|^{p-2}, in place, through
+        # t = tan(theta/2): one transcendental instead of a cos and a sin
         re, im = state
-        mod = re ** 2
-        mod += im ** 2
+        t = re ** 2
+        t += im ** 2
         if p != 4.0:
-            mod **= 0.5 * (p - 2.0)
-        mod *= h
-        _turn(state, np.cos(mod), np.sin(mod))
+            t **= 0.5 * (p - 2.0)
+        t *= 0.5 * h
+        np.tan(t, out=t)
+        t2 = t * t
+        den = 1.0 + t2
+        _turn(state, (1.0 - t2) / den, 2.0 * t / den)
 
     record(0, state)
     # a full rotation is one step's trailing half-step and the next step's
     # leading one; it is split in two only where the state is observed
     rotate(state, 0.5 * dt)
     for step in range(1, n_steps + 1):
-        state = linear(state)
+        linear(state)
         recorded = step % cfg.record_every == 0 or step == n_steps
         if not recorded and step != ENERGY_CHECK_STEP:
             rotate(state, dt)
@@ -238,12 +226,34 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
                     dists[-1] > cfg.stop_when_distance:
                 break
         if step == ENERGY_CHECK_STEP:
-            drift = abs(energy_value(observe(state)[1], p) - e0) / scale
+            drift = abs(energy_value(g, g.to_even(state), state, p) - e0) / scale
             if drift > 1e-3:
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")
         rotate(state, 0.5 * dt)     # the next step's leading half-step
     return EvolutionTrace(t=np.array(times), mass=np.array(masses),
                           energy=np.array(energies), orbital_distance=np.array(dists), dt=dt)
+
+
+def _propagator(g: Discretization, dt: float):
+    """The linear step psi <- U_r psi U_z, in place on the real pair of
+    shape (2, K, Mz/2+1) on the collocation grid g: one radial GEMM on the
+    pair's (2K, M) view, then one axial GEMM into each of its planes."""
+    K, M = g.K, g.Mz // 2 + 1
+    fwd, inv = _even_dct(g.Mz)
+    u_r = (g.phi * np.exp(-1j * dt * g.osc_eigs)) @ g.proj
+    u_z = ((fwd * np.exp(-1j * dt * g.xi[:M] ** 2)) @ inv) / g.Mz
+    # [[Re U_r, -Im U_r], [Im U_r, Re U_r]] with its rows interleaved, so
+    # that the (K, 2M) view of its product with the pair is [Re | Im] U_r psi
+    r_block = np.stack([np.hstack([u_r.real, -u_r.imag]),
+                        np.hstack([u_r.imag, u_r.real])], axis=1).reshape(2 * K, 2 * K)
+    z_re, z_im = np.vstack([u_z.real, -u_z.imag]), np.vstack([u_z.imag, u_z.real])
+    left = np.empty((K, 2 * M))
+
+    def linear(state):
+        np.matmul(r_block, state.reshape(2 * K, M), out=left.reshape(2 * K, M))
+        np.matmul(left, z_re, out=state[0])
+        np.matmul(left, z_im, out=state[1])
+    return linear
 
 
 def _turn(pair, cos, sin):
@@ -260,62 +270,94 @@ def _turn(pair, cos, sin):
 # -- orbital distance -------------------------------------------------------------
 
 def _reference_data(u: Field) -> dict:
+    """H weights hw, even coefficients uc, hw uc, per-column and total
+    squared H norms of a real, even reference u, and the scan's cosines."""
     g = u.grid
-    if g.omega != 1.0:
-        raise ShapeMismatch("H weights are diagonal only on unit-frequency grids")
-    hw = g.lin_diag(g.Mz, 1.0)
-    uc = u.coeffs
-    qu = quadratic_parts(u)
-    h_norm_sq = qu["kin_y"] + qu["kin_z"] + qu["trap"] + qu["l2"]
-    return {"grid": g, "hw": hw, "uc": uc, "h_norm_sq": h_norm_sq}
+    if not u.even_z or np.abs(u.coeffs.imag).max() > 1e-12 * np.abs(u.coeffs).max():
+        raise ShapeMismatch("the reference must be real and even in z")
+    hw = g.lin_diag(g.Mz // 2 + 1, 1.0)
+    uc = g.reduce_even(u.coeffs)
+    col = np.sum(hw * uc**2, axis=0)
+    return {"grid": g, "hw": hw, "uc": uc, "hu": hw * uc, "col": col,
+            "h_norm_sq": float(col.sum()), "cos": _even_dct(g.Mz)[1] / g.sqrt_wz[:, None]}
 
 
-def orbital_distance_data(psi: Field, ref: dict) -> float:
-    """Distance to the orbit {e^{i theta} u(.,. - z0)} in the H metric.
+def orbital_distance_data(coeffs: np.ndarray, ref: dict) -> float:
+    """Relative H-distance from an even state, given by its sqrt(w)-weighted
+    even coefficients (C_re, C_im), to the orbit {e^{i theta} u(.,. - z0)}
+    of ref = _reference_data(u).
 
-    The best shift maximizes |B(z0)|, where B(z0) = sum_m b_m e^{i xi_m z0}
-    is a trigonometric polynomial with b_m = sum_k hw_km psi_km conj(u_km);
-    the best phase is then theta = arg B(z0).  B is evaluated at every grid
-    shift at once through one FFT, and the best node is refined by Newton's
-    method on d|B|^2/dz0 = 0.  The distance itself is evaluated
-    directly in coefficient space,
-        d^2 = sum_km hw_km |psi_km - e^{i theta} u_km e^{-i xi_m z0}|^2,
-    not as ||psi||_H^2 + ||u||_H^2 - 2|B(z0)|, whose cancellation would put
-    a floor of about sqrt(eps) under d.  Returned relative to ||u||_H.
+    The best shift maximizes |B(z0)|, B(z0) = sum_m b_m cos(xi_m z0) with
+    b_m = sum_k hw_km u_km C_km, C = C_re + i C_im, and theta = arg B(z0).
+    B is even, so one cosine-matrix product scans every shift on the Mz/2+1
+    half-grid nodes; _best_shift refines the best.  The distance averages
+    the two axial directions of each mode,
+        d^2 = (1/2) sum_{+-} sum hw |C - e^{i theta} u e^{-+i xi z0}|^2
+            = sum hw (|C - e^{i theta} u cos(xi z0)|^2 + u^2 sin^2(xi z0)),
+    both sums of squares taken directly.
     """
     g = ref["grid"]
-    hw, uc = ref["hw"], ref["uc"]
-    pc = psi.coeffs
-    b = np.sum(hw * pc * np.conj(uc), axis=0)
-    # big[j] = B(z_j): sum_m b_m e^{i xi_m z} on every node at once
-    big = np.fft.ifft(g.phase * b) * g.Mz
-    j0 = int(np.argmax(np.abs(big)))
+    xi = g.xi[: g.Mz // 2 + 1]
+    b2 = np.einsum("jkm,km->jm", coeffs, ref["hu"])
+    scan = b2 @ ref["cos"]                  # (Re, Im) B(n dz), n = 0, ..., Mz/2
+    terms = (b2[0] + 1j * b2[1]) * np.stack([np.ones_like(xi), -xi, -xi**2])
 
-    # |B| is flat to O(dz^2) at its peak, so comparing values would leave z0
-    # off by up to ~sqrt(eps); Newton on the root of d|B|^2/dz, started from
-    # the best node, fixes it to roundoff.  A step is taken only where |B|^2
-    # is concave and the step stays within one grid spacing; if the first
-    # step is refused, the node itself is kept.
-    z0 = g.z[j0]
-    for _ in range(NEWTON_STEPS):
-        bm = b * np.exp(1j * g.xi * z0)
-        bz, b1, b2 = bm.sum(), (1j * g.xi * bm).sum(), (-g.xi**2 * bm).sum()
-        slope = np.real(np.conj(bz) * b1)
-        curv = abs(b1) ** 2 + np.real(np.conj(bz) * b2)
-        if curv >= 0.0 or abs(slope) >= -curv * g.dz:
-            break
-        step = slope / curv
-        z0 -= step
-        if abs(step) <= 1e-12 * g.dz:
-            break
-    theta = np.angle(np.sum(b * np.exp(1j * g.xi * z0)))
-    resid = pc - np.exp(1j * theta) * uc * np.exp(-1j * g.xi * z0)[None, :]
-    d2 = float(np.sum(hw * np.abs(resid) ** 2))
+    def series(z):
+        cos = np.cos(xi * z)
+        return terms[0] @ cos, terms[1] @ np.sin(xi * z), terms[2] @ cos
+
+    z0, bz = _best_shift(series, g.dz * int(np.argmax(np.hypot(*scan))), g.dz)
+    rot = np.exp(1j * np.angle(bz)) * np.cos(xi * z0)
+    resid = coeffs - np.stack([rot.real, rot.imag])[:, None, :] * ref["uc"]
+    d2 = np.sum((resid * resid).reshape(2, -1) @ ref["hw"].ravel())
+    d2 += ref["col"] @ np.sin(xi * z0) ** 2
     return float(np.sqrt(d2 / ref["h_norm_sq"]))
 
 
 def orbital_distance(psi: Field, u: Field) -> float:
-    """Relative H-distance from psi to the phase/translation orbit of u."""
-    if not psi.grid.compatible(u.grid):
+    """Relative H-distance from any psi to the phase/translation orbit of u,
+    on the full grid: as orbital_distance_data with B(z0) = sum_m b_m
+    e^{i xi_m z0}, b = sum_k hw psi conj(u), scanned by one FFT, and
+    d^2 = sum hw |psi - e^{i theta} u e^{-i xi z0}|^2."""
+    g = u.grid
+    if not psi.grid.compatible(g):
         raise ShapeMismatch("fields on different grids")
-    return orbital_distance_data(psi, _reference_data(u))
+    if g.omega != 1.0:
+        raise ShapeMismatch("H weights are diagonal only on unit-frequency grids")
+    hw, uc, pc = g.lin_diag(g.Mz, 1.0), u.coeffs, psi.coeffs
+    b = np.sum(hw * pc * np.conj(uc), axis=0)
+
+    def series(z):
+        bm = b * np.exp(1j * g.xi * z)
+        return bm.sum(), (1j * g.xi * bm).sum(), (-g.xi**2 * bm).sum()
+
+    # np.fft.ifft(phase b) Mz is B on every node at once
+    big = np.fft.ifft(g.phase * b) * g.Mz
+    z0, bz = _best_shift(series, g.z[int(np.argmax(np.abs(big)))], g.dz)
+    resid = pc - np.exp(1j * np.angle(bz)) * uc * np.exp(-1j * g.xi * z0)[None, :]
+    return float(np.sqrt(np.sum(hw * np.abs(resid) ** 2) / np.sum(hw * np.abs(uc) ** 2)))
+
+
+def _best_shift(series, z0, dz):
+    """The shift near the best scan node z0 that maximizes |B|, and B there;
+    series(z) = (B, B', B'')(z).
+
+    |B| is flat to O(dz^2) at its peak, so comparing values would leave z0
+    off by up to ~sqrt(eps); Newton on d|B|^2/dz = 0 fixes it to roundoff.
+    A step is taken only where |B|^2 is concave and within one grid
+    spacing, and none below 1e-12 dz.  The callers evaluate d directly, not
+    as ||psi||_H^2 + ||u||_H^2 - 2|B(z0)|, whose cancellation would put a
+    floor of about sqrt(eps) under it.
+    """
+    bz, b1, b2 = series(z0)
+    for _ in range(NEWTON_STEPS):
+        slope = np.real(np.conj(bz) * b1)
+        curv = abs(b1) ** 2 + np.real(np.conj(bz) * b2)
+        if curv >= 0.0 or abs(slope) >= -curv * dz:
+            break
+        step = slope / curv
+        if abs(step) <= 1e-12 * dz:
+            break
+        z0 -= step
+        bz, b1, b2 = series(z0)
+    return z0, bz

@@ -430,6 +430,17 @@ def test_solve_chi_refines_past_minres_estimate():
     assert slope == pytest.approx(fd, rel=1e-4)
 
 
+def test_finite_difference_slope_solves_on_own_grid():
+    """Both ends of the centered difference are solved on lambda's own grid,
+    so at lambda = -40 (weak-trap grids, which dilate with lambda) the
+    difference agrees with chi's slope to its O(FD_DELTA^2) error, not to
+    the 8e-4 that two dilated grids left."""
+    state = solve_ground_state(ModelParams(p=4.0, lam=-40.0))
+    _, slope = solve_chi(state)
+    fd = slope_finite_difference(4.0, -40.0, warm=state)
+    assert abs(fd / slope - 1.0) <= 1e-6
+
+
 def _counted(monkeypatch, module, name):
     """Wrap module.name to record the result of each call."""
     real, results = getattr(module, name), []

@@ -83,9 +83,10 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     g = psi0.grid
     observed = []
 
-    def spy(psi, power):
-        observed.append(psi.values)
-        return energy_value(psi, power)
+    def spy(grid, coeffs, values, power):
+        full = grid.expand_even(coeffs, values)[1]
+        observed.append(full[0] + 1j * full[1])
+        return energy_value(grid, coeffs, values, power)
 
     monkeypatch.setattr(dynamics, "energy_value", spy)
     tr = evolve(psi0, params, cfg, snapshot_dir=tmp_path)
@@ -148,6 +149,74 @@ def test_symmetric_sector_runs_no_full_grid_transform(stable_state, tmp_path, mo
                 snapshot_dir=tmp_path)
     assert len(tr.t) == 6 and np.isfinite(tr.orbital_distance).all()
     assert (tmp_path / "psi_00000050.bin").exists()
+
+
+def _full_grid_record(psi, u, p):
+    """Mass, energy and orbital distance of psi by the full-grid formulas."""
+    g, c = psi.grid, psi.coeffs
+    mod = np.abs(psi.values) ** 2
+    energy = 0.5 * float(np.vdot(c, g.apply_lin(c, 0.0)).real) - float(g.quad(mod ** (0.5 * p))) / p
+    return float(g.quad(mod)), energy, orbital_distance(psi, u)
+
+
+def test_records_match_full_grid_after_50_steps(stable_state, tmp_path):
+    # the records read the even pair; the snapshot is its expanded Field
+    u, params = stable_state.u, stable_state.params
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03, record_every=50)
+    tr = evolve(perturbed_state(u, cfg), params, cfg, reference=u, snapshot_dir=tmp_path)
+    psi, _ = load_field(tmp_path / "psi_00000050")
+    mass, energy, dist = _full_grid_record(psi, u, params.p)
+    assert tr.mass[-1] == pytest.approx(mass, rel=1e-12)
+    assert tr.energy[-1] == pytest.approx(energy, rel=1e-12)
+    assert abs(tr.orbital_distance[-1] - dist) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0])
+def test_two_bump_record_values_match_full_grid(stable_state, p):
+    # e^{i theta} (u(z - a) + u(z + a)), a half a node off the grid: its best
+    # shift lies between nodes near a, not at 0, so the half-grid scan and
+    # the Newton polish both act
+    u = stable_state.u
+    g = u.grid
+    a = (g.Mz // 8 + 0.5) * g.dz
+    c = np.exp(1.1j) * u.coeffs * 2.0 * np.cos(g.xi * a)[None, :]
+    psi = Field(g, coeffs=c, real=False)
+    assert psi.even_z
+    pair = np.stack([g.reduce_even(c), g.reduce_even(c.imag)])
+    vals = g.half_values(np.stack([psi.values.real, psi.values.imag]))
+    mass, energy, dist = _full_grid_record(psi, u, p)
+    assert float(g.quad_even(vals[0] ** 2 + vals[1] ** 2)) == pytest.approx(mass, rel=1e-12)
+    assert energy_value(g, pair, vals, p) == pytest.approx(energy, rel=1e-12)
+    assert abs(dynamics.orbital_distance_data(pair, dynamics._reference_data(u)) - dist) <= 1e-12
+    # unshifted, the best phase leaves a larger distance
+    hw = g.lin_diag(g.Mz, 1.0)
+    un, pn = np.sum(hw * np.abs(u.coeffs) ** 2), np.sum(hw * np.abs(c) ** 2)
+    unshifted = np.sqrt((pn + un - 2.0 * abs(np.sum(hw * c * np.conj(u.coeffs)))) / un)
+    assert dist < 0.9 * unshifted
+
+
+def test_propagator_matches_coefficient_turn(stable_state):
+    # U_r psi U_z is to_even, the turn of each even coefficient by
+    # exp(-i dt (osc_k + xi_m^2)), and from_even
+    g, dt = stable_state.u.grid, 2e-3
+    psi = perturbed_state(stable_state.u, EvolutionConfig(perturbation=0.03))
+    c = np.exp(0.7j) * psi.coeffs
+    state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
+    coeffs = g.to_even(state)
+    angle = dt * g.lin_diag(coeffs.shape[-1], 0.0)
+    dynamics._turn(coeffs, np.cos(angle), -np.sin(angle))
+    expected = g.from_even(coeffs)
+    dynamics._propagator(g, dt)(state)
+    assert np.abs(state - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_reference_not_real_and_even_is_refused(stable_state):
+    u = stable_state.u
+    cfg = EvolutionConfig(dt=1e-3, T=0.01)
+    for ref in (Field(u.grid, values=np.roll(u.values, 7, axis=1), real=True),
+                Field(u.grid, coeffs=1j * u.coeffs, real=False)):
+        with pytest.raises(ShapeMismatch, match="real and even"):
+            evolve(u, stable_state.params, cfg, reference=ref)
 
 
 def test_orbital_distance_quotients(stable_state, rng):
@@ -233,8 +302,9 @@ def test_step_too_large_guard(stable_state):
 
 def test_energy_functional_value(stable_state):
     u = stable_state.u
-    psi = Field(u.grid, coeffs=u.coeffs.astype(complex), real=False)
-    e = energy_value(psi, 4.0)
+    g = u.grid
+    pair = np.stack([g.reduce_even(u.coeffs), np.zeros((g.K, g.Mz // 2 + 1))])
+    e = energy_value(g, pair, g.half_values(np.stack([u.values, 0.0 * u.values])), 4.0)
     assert np.isfinite(e)
     # energy of the standing wave: action at lambda=0 identity
     from confinement_lab.functionals import report
