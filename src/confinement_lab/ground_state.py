@@ -14,9 +14,10 @@ Barzilai-Borwein step length is measured in the linear part's metric,
 which makes the descent covariant under these rescalings, so the narrow
 far states cost no more iterations than the O(1) ones, and a cold solve
 needs one start: the isotropic Gaussian at the grid's own radial scale.
-Each functional is evaluated once per iterate: the Nehari projection
-gives the action, and one linear apply and one nonlinearity give the
-gradient, <c, L c> and int |u|^p (StationaryProblem.gradient).
+Each iterate costs one linear apply: the Nehari projection returns t L c,
+and the gradient, <c, L c> and the step length s^T L s = s^T (L c - L c_prev)
+reuse it.  The gradient norm passes at max(tol_grad, 10 eps <c, L c>/||c||):
+roundoff in L c floors it near the second term for states of large amplitude.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
@@ -25,6 +26,8 @@ Hessian (applied in blocks by the in-repo LOBPCG) and the linearized
 solves all live on the grid's real even-in-z representation
 (Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
 axial translation invariance; a result is expanded to the full grid once.
+The Hessian apply folds the DCT-I's scalars into its weight; LOBPCG keeps
+[X, P, W] orthonormal by block Gram-Schmidt, P against X in the small basis.
 The true residuals of solve_chi and the eigenpairs are checked with the
 sector operator solved with (sqrt(w) weights make its norms L^2 norms);
 solve_chi refines once on the true residual before it gives up.
@@ -41,9 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .core import Field, ModelParams
-from .errors import (CollapsedToZero, EigsNotConverged, NearSingular,
-                     NotCoercive, NotConverged, ZeroField)
-from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, build
+from .errors import CollapsedToZero, EigsNotConverged, NearSingular, NotCoercive, NotConverged, ZeroField
+from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, _even_dct, build
 from .scaling import resample
 
 # At and below this frequency the grid takes the free-soliton scale |lambda|^{-1/2}.
@@ -51,6 +53,7 @@ FAR_SWITCH = -6.0
 MAX_NEWTON = 50           # Newton steps per solve
 COLLAPSE_MASS = 1e-12     # an iterate with less squared L^2 norm has collapsed
 LOBPCG_TOL = 2e-7         # eigenpair residual 2-norm at which LOBPCG stops
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class SolverOptions:
 @dataclass(frozen=True)
 class StationaryProblem:
     """[-Delta + |y|^2 - lam] u = |u|^{p-2}u on the grid's even-sector
-    arrays (apply_lin and quadform_lin also take full ones)."""
+    arrays (apply_lin also takes full ones)."""
 
     grid: Discretization
     p: float
@@ -85,9 +88,6 @@ class StationaryProblem:
 
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
         return self.grid.apply_lin(coeffs, -self.lam, diag=self._diag[coeffs.shape[-1]])
-
-    def quadform_lin(self, coeffs: np.ndarray) -> float:
-        return float(np.real(np.sum(np.conj(coeffs) * self.apply_lin(coeffs))))
 
     @cached_property
     def _precond_scale(self) -> np.ndarray:
@@ -113,10 +113,10 @@ class StationaryProblem:
         y = (s.T @ x.reshape(g.K, -1)).reshape(blocks) / d
         return (s @ y.reshape(g.K, -1)).reshape(x.shape)
 
-    def gradient(self, coeffs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """The action gradient L c - |u|^{p-2}u, <c, L c> and int |u|^p."""
-        lc, nl = self.apply_lin(coeffs), np.abs(values) ** (self.p - 2.0) * values
-        return lc - self.grid.to_even(nl), float(np.sum(coeffs * lc)), float(self.grid.quad_even(nl * values))
+    def gradient(self, coeffs: np.ndarray, values: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The action gradient L c - |u|^{p-2}u, <c, L c> and int |u|^p, from lc = L c."""
+        nl = np.abs(values) ** (self.p - 2.0) * values
+        return lc - self.grid.to_even(nl), float(np.vdot(coeffs, lc)), float(self.grid.quad_even(nl * values))
 
 
 # -- core iteration --------------------------------------------------------------
@@ -146,11 +146,12 @@ def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
 
 
 def _project(problem, coeffs):
-    """t*coeffs on the Nehari set, its half-grid values and its action,
-    which there is (1/2 - 1/p) t^2 <c, L c>."""
-    values, quad = problem.grid.from_even(coeffs), problem.quadform_lin(coeffs)
-    t = nehari_scale_t(problem, quad, float(problem.grid.quad_even(np.abs(values) ** problem.p)))
-    return t * coeffs, t * values, (0.5 - 1.0 / problem.p) * t * t * quad
+    """t*coeffs on the Nehari set, its half-grid values, its action, which
+    there is (1/2 - 1/p) t^2 <c, L c>, and t L c."""
+    values, lc = problem.grid.from_even(coeffs), problem.apply_lin(coeffs)
+    quad = float(np.vdot(coeffs, lc))
+    t = nehari_scale_t(problem, quad, float(problem.grid.quad_even((values * values) ** (problem.p / 2))))
+    return t * coeffs, t * values, (0.5 - 1.0 / problem.p) * t * t * quad, t * lc
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,18 @@ class Operator:
 
 def _sector_hessian(problem: StationaryProblem, values: np.ndarray) -> Operator:
     """Hessian on flattened even-sector coefficients; the block product
-    applies all columns with one transform pair."""
-    g = problem.grid
-    w = (problem.p - 1.0) * np.abs(values) ** (problem.p - 2.0)
+    applies all columns with one transform pair, from_even's 1/sqrt(2 Lz)
+    and to_even's sqrt(2 Lz)/Mz folded into the weight."""
+    g, (fwd, inv) = problem.grid, _even_dct(problem.grid.Mz)
+    w = (problem.p - 1.0) / g.Mz * np.abs(values) ** (problem.p - 2.0)
     n = g.K * (g.Mz // 2 + 1)
 
     def mm(x):
         c = x.T.reshape(-1, g.K, g.Mz // 2 + 1)
-        nodal = g.from_even(c)
+        nodal = g.phi @ (c @ inv)
         nodal *= w
         out = problem.apply_lin(c)
-        out -= g.to_even(nodal)
+        out -= (g.proj @ nodal) @ fwd
         return out.reshape(-1, n).T.reshape(x.shape)
 
     return Operator((n, n), mm, mm)
@@ -187,8 +189,7 @@ def minres(A: Operator, b: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
     (Paige & Saunders 1975), M a positive definite approximation of A^{-1}.
     Recurrences and stopping tests are scipy's (its 1 + t <= 1 is t <= eps/2).
     callback(x) runs once per iteration; info is 0, or maxiter if unconverged."""
-    eps = np.finfo(float).eps
-    x = w = w2 = np.zeros(b.shape[0])
+    x, w, w2 = np.zeros(b.shape[0]), 0.0, 0.0   # no direction precedes the first
     r1, r2, y = 0.0, b, M(b)     # no Lanczos vector precedes the first
     # math.sqrt raises ValueError on a negative r^T M r: M or A is not symmetric
     beta1 = beta = oldb = phibar = math.sqrt(float(b @ y))
@@ -206,18 +207,18 @@ def minres(A: Operator, b: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
         tnorm2 += alfa**2 + oldb**2 + beta**2
         oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
         epsln, dbar = sn * beta, -cs * beta
-        root, gamma = math.hypot(gbar, dbar), max(math.hypot(gbar, beta), eps)
+        root, gamma = math.hypot(gbar, dbar), max(math.hypot(gbar, beta), EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w, w2 = (v - oldeps * w2 - delta * w) * (1.0 / gamma), w
-        x = x + phi * w
+        x += phi * w
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
-        anorm, ynorm = math.sqrt(tnorm2), float(np.linalg.norm(x))   # anorm >= beta1 > 0
+        anorm, ynorm = math.sqrt(tnorm2), math.sqrt(x @ x)   # anorm >= beta1 > 0
         test1 = phibar / (anorm * ynorm) if ynorm > 0.0 else np.inf  # ||r|| / (||A|| ||x||)
         if callback is not None:
             callback(x)
-        if (min(test1, root / anorm) <= max(rtol, 0.5 * eps) or gmax / gmin >= 0.1 / eps
-                or anorm * ynorm * eps >= beta1 or (itn == 1 and beta <= 10.0 * eps * beta1)):
+        if (min(test1, root / anorm) <= max(rtol, 0.5 * EPS) or gmax / gmin >= 0.1 / EPS
+                or anorm * ynorm * EPS >= beta1 or (itn == 1 and beta <= 10.0 * EPS * beta1)):
             return x, 0
     return x, maxiter
 
@@ -237,56 +238,52 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
     c = np.array(coeffs0, dtype=float)
     if float(np.sum(c * c)) < COLLAPSE_MASS:
         raise CollapsedToZero("initial iterate has (numerically) zero mass")
-    c, un, J = _project(problem, c)
+    c, un, J, lc = _project(problem, c)
     actions = [J]
-    state = problem.gradient(c, un)   # (grad, quad, lp) of c
-    alpha = 1.0
-    prev_c = prev_grad = None
-    it = 0
-    newton_used = 0
+    state = problem.gradient(c, un, lc)   # (grad, quad, lp) of c
+    alpha, mode = 1.0, "gradient"
+    prev_c = prev_grad = prev_lc = None
+    it = newton_used = 0
     newton_below = np.inf   # after a failed Newton step, descend below this first
-    mode = "gradient"
 
     while True:
         it += 1
         grad, quad, lp = state
         gn = float(np.sqrt(np.sum(grad * grad)))
         res = quad - lp
-        converged = gn <= opts.tol_grad and abs(res) <= opts.tol_nehari * max(lp, 1e-300)
+        mass = float(np.sum(c * c))
+        gscale = quad / np.sqrt(mass)   # <= ||L c||, whose roundoff floors ||grad|| near eps * it
+        converged = (gn <= max(opts.tol_grad, 10.0 * EPS * gscale)
+                     and abs(res) <= opts.tol_nehari * max(lp, 1e-300))
         if converged or it > opts.max_iter:
             break
-        mass = float(np.sum(c * c))
         if mass < COLLAPSE_MASS:
             raise CollapsedToZero(f"iterate mass collapsed at iteration {it}")
 
         # Newton only once the gradient is small relative to the state's own
         # scale, else the refinement can lock onto a nearby excited critical
         # point before the descent has relaxed the profile
-        gscale = quad / np.sqrt(mass)
         if mode == "gradient" and gn < min(1e-4 * gscale, newton_below):
             mode = "newton"
         if mode == "newton":
             if newton_used >= MAX_NEWTON:
                 break
             newton_used += 1
-            rtol = min(0.1, np.sqrt(gn))
-            delta, info = minres(_sector_hessian(problem, un), grad.ravel(),
-                                 M=problem.precond, rtol=rtol, maxiter=400)
+            delta, info = minres(_sector_hessian(problem, un), grad.ravel(), M=problem.precond,
+                                 rtol=min(0.1, np.sqrt(gn)), maxiter=400)
             step = delta.reshape(c.shape)
-            ok = False
             for _ in range(8 if info == 0 else 0):   # a failed solve gives no step
                 try:
-                    c_try, un_try, J_try = _project(problem, c - step)
+                    c_try, un_try, J_try, lc_try = _project(problem, c - step)
                 except ZeroField:
                     step = 0.5 * step
                     continue
-                trial = problem.gradient(c_try, un_try)
+                trial = problem.gradient(c_try, un_try, lc_try)
                 if float(np.sqrt(np.sum(trial[0] * trial[0]))) < gn:
-                    c, un, J, state = c_try, un_try, J_try, trial
-                    ok = True
+                    c, un, J, lc, state = c_try, un_try, J_try, lc_try, trial
                     break
                 step = 0.5 * step
-            if not ok:
+            else:
                 mode = "gradient"   # Newton stalled; resume descent
                 newton_below = 0.5 * gn
                 alpha = 1.0
@@ -295,29 +292,27 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         # preconditioned Barzilai-Borwein step with backtracking; the length
         # s^T L0 s / s^T y is measured in the metric of the linear part L0,
         # whose inverse preconditions, so it stays O(1) under the
-        # rescalings that grid_for applies
+        # rescalings that grid_for applies; L0 s = L0 c - L0 c_prev
         direction = problem.precond(grad)
         if prev_c is not None:
             s = c - prev_c
             y = grad - prev_grad
-            sy = float(np.sum(s * y))
+            sy = float(np.vdot(s, y))
             if sy > 0:
-                alpha = problem.quadform_lin(s) / sy
+                alpha = float(np.vdot(s, lc - prev_lc)) / sy
             alpha = float(np.clip(alpha, 1e-4, 1e4))
-        prev_c, prev_grad = c, grad
-        accepted = False
+        prev_c, prev_grad, prev_lc = c, grad, lc
         a = alpha
         for _ in range(50):
-            c_try, un_try, J_try = _project(problem, c - a * direction)
+            c_try, un_try, J_try, lc_try = _project(problem, c - a * direction)
             if J_try <= J + 1e-12 * abs(J):
-                accepted = True
                 break
             a *= 0.5
-        if not accepted:
+        else:
             mode = "newton"   # descent exhausted at this scale
             continue
-        c, un, J = c_try, un_try, J_try
-        state = problem.gradient(c, un)
+        c, un, J, lc = c_try, un_try, J_try, lc_try
+        state = problem.gradient(c, un, lc)
         actions.append(J)
 
     coeffs, values = problem.grid.expand_even(c, un)
@@ -334,7 +329,7 @@ def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     """Scale any field u onto the Nehari set of the physical problem at params."""
     prob = StationaryProblem(u.grid, params.p, params.lam)
     lp = float(u.grid.quad(np.abs(u.values) ** prob.p))
-    t = nehari_scale_t(prob, prob.quadform_lin(u.coeffs), lp)
+    t = nehari_scale_t(prob, float(np.real(np.vdot(u.coeffs, prob.apply_lin(u.coeffs)))), lp)
     return t, t * u
 
 
@@ -399,15 +394,21 @@ def solve_ground_state(params: ModelParams, init: Field | None = None,
 
 # -- linearization at a ground state ---------------------------------------------
 
-def _orthonormalize(Q: np.ndarray, start: int, stop: int) -> None:
-    """Make columns start..stop-1 of Q orthonormal to all before them."""
-    for j in range(start, stop):
-        for _ in range(2):
-            Q[:, j] -= Q[:, :j] @ (Q[:, :j].T @ Q[:, j])
-            norm = np.sqrt(Q[:, j] @ Q[:, j])
-            if not norm > 0.0:
-                raise np.linalg.LinAlgError("LOBPCG search block lost rank")
-            Q[:, j] /= norm
+def _orthonormalize(W: np.ndarray, Q: np.ndarray | None = None) -> None:
+    """Make the columns of W orthonormal, and orthogonal to the orthonormal
+    columns of Q, in place: two block Gram-Schmidt passes, then a division
+    by the norm (a QR factorization for more than one column)."""
+    for _ in range(0 if Q is None else 2):
+        W -= Q @ (Q.T @ W)
+    if W.shape[1] == 1:
+        norm = math.sqrt(W[:, 0] @ W[:, 0])
+    else:
+        W[...], R = np.linalg.qr(W)
+        norm = np.abs(np.diagonal(R)).min()
+    if not norm > 0.0:
+        raise np.linalg.LinAlgError("LOBPCG search block lost rank")
+    if W.shape[1] == 1:
+        W /= norm
 
 
 def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
@@ -421,53 +422,55 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
     Ritz value, and must be positive definite for every such shift
     (StationaryProblem.precond applies (L0 + shifts[j])^{-1} to column j)."""
     N, n = X.shape
-    S = np.empty((N, 3 * n), order="F")
-    AS = np.empty_like(S)
+    # the basis S stacked over A S; each Ritz update is written to the other array
+    B, B_next = np.empty((2 * N, 3 * n), order="F"), np.empty((2 * N, 3 * n), order="F")
+    S, AS = B[:N], B[N:]
     S[:, :n] = X
-    _orthonormalize(S, 0, n)
+    _orthonormalize(S[:, :n])
     AS[:, :n] = A.matmat(S[:, :n])
-    k, active = n, np.zeros(n, dtype=bool)      # columns of S in use
+    k, pick = n, np.arange(n)     # columns of S in use; the Ritz vectors the next X and P take
     for it in range(maxiter + 1):
         G = S[:, :k].T @ AS[:, :k]
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         # next X: the Ritz vectors; next P: the P and W parts of those that
         # were active, made orthonormal to them here (Hetmaniuk & Lehoucq 2006)
-        p = int(active.sum())
-        C2 = np.hstack([C[:, :n], C[:, :n][:, active]])
+        C2, p = C[:, pick], len(pick) - n
         C2[:n, n:] = 0.0
-        _orthonormalize(C2, n, n + p)
-        S[:, :n + p], AS[:, :n + p] = S[:, :k] @ C2, AS[:, :k] @ C2
+        if p:
+            _orthonormalize(C2[:, n:], C2[:, :n])
+        np.matmul(B[:, :k], C2, out=B_next[:, :n + p])
+        B, B_next = B_next, B
+        S, AS = B[:N], B[N:]
         R = AS[:, :n] - S[:, :n] * vals[:n]
-        rnorm = np.sqrt(np.sum(R * R, axis=0))
+        rnorm = np.sqrt(np.einsum("ij,ij->j", R, R))
         active = rnorm > LOBPCG_TOL     # converged columns get no new directions
         if not active.any():
             return vals[:n], S[:, :n].copy()
         if it < maxiter:
-            k = n + p + int(active.sum())
+            pick = np.concatenate((pick[:n], np.flatnonzero(active)))
+            k = p + len(pick)
             S[:, n + p:k] = M(R[:, active], np.maximum(0.0, -vals[:n][active]))
-            _orthonormalize(S, n + p, k)
+            _orthonormalize(S[:, n + p:k], S[:, :n + p])
             AS[:, n + p:k] = A.matmat(S[:, n + p:k])
     raise EigsNotConverged(f"LOBPCG residual {rnorm.max():.2e} after {maxiter} iterations")
 
 
-def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray,
-                             n: int, maxiter: int = 800):
+def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: int, maxiter: int = 800):
     """n smallest eigenpairs of the second variation of the action at the
     real, even state with full-grid nodal values `values`, restricted to the
     symmetric sector: the linear part minus (p-1)|u|^{p-2}.
 
-    lobpcg seeded with the state, which spans the single negative
+    lobpcg started from the state, which spans the single negative
     direction of a ground state; falls back to Lanczos if it fails or does
     not converge.  Each returned pair is residual-checked to 1e-6 * ||phi||.
     """
-    g = problem.grid
-    half = g.half_values(values)
+    g, half = problem.grid, problem.grid.half_values(values)
     op = _sector_hessian(problem, half)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((op.shape[0], n))
-    seed = g.to_even(half).ravel()
-    if np.linalg.norm(seed) > 1e-10:
-        X[:, 0] = seed
+    X = seed = g.to_even(half).reshape(-1, 1)
+    if n > 1 or not np.linalg.norm(seed) > 1e-10:   # random columns beside the state, or for a zero one
+        X = np.random.default_rng(0).standard_normal((op.shape[0], n))
+        if np.linalg.norm(seed) > 1e-10:
+            X[:, :1] = seed
     try:
         vals, vecs = lobpcg(op, X, M=problem.precond, maxiter=maxiter)
     except (EigsNotConverged, np.linalg.LinAlgError):
@@ -486,8 +489,7 @@ def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray,
                                    real=True)) for i in range(n)]
 
 
-def solve_chi(result: GroundStateResult, rtol: float = 1e-10,
-              maxiter: int = 3000) -> tuple[Field, float]:
+def solve_chi(result: GroundStateResult, rtol: float = 1e-10, maxiter: int = 3000) -> tuple[Field, float]:
     """Solve the linearized equation L chi = u in the symmetric sector.
 
     Returns the frequency-derivative field chi = du/dlambda and the mass

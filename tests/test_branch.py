@@ -526,3 +526,14 @@ def test_find_mass_pair_far_root_beyond_the_search_is_typed(monkeypatch):
                                               r"end tau=3.14e\+08"):
         find_mass_pair(3.5, 0.3)
     assert len(solves) == 1
+
+
+def test_find_mass_pair_far_root_at_large_amplitude():
+    """At p = 3.5, c = 1.79 the far root lies near lambda = -8.9e6, where
+    the state's amplitude puts the gradient's roundoff floor above tol_grad:
+    the solves there stop at that floor and the pair resolves."""
+    pair = find_mass_pair(3.5, 1.79)
+    assert pair.lambda_low == pytest.approx(-8.94e6, rel=1e-2)
+    assert (pair.tag_low, pair.tag_high) == ("unstable", "stable")
+    for res in (pair.low, pair.high):
+        assert abs(res.mass / 1.79**2 - 1.0) <= 1e-7

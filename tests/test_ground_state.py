@@ -155,6 +155,33 @@ def test_cold_solve_iterations(lam):
     assert res.converged and res.iterations <= 40
 
 
+def _roundoff_floor(res):
+    """10 eps <c, L c>/||c|| at a converged state; <c, L c> = action / (1/2 - 1/p) on the Nehari set."""
+    return 10.0 * np.finfo(float).eps * res.action / (0.5 - 1.0 / res.params.p) / np.sqrt(res.mass)
+
+
+@pytest.mark.parametrize("p, lam", [(4.0, -1e8), (3.5, -1e6), (3.5, -1e8)])
+def test_far_solve_stops_at_roundoff_floor(p, lam):
+    """Far below zero frequency the amplitude grows like |lambda|^{1/(p-2)},
+    and roundoff in L c keeps the gradient norm above the absolute
+    tol_grad; the stopping test accepts it at 10 eps <c, L c>/||c||, so
+    these cold solves converge in a few iterations instead of running out
+    of all 5,000."""
+    res = solve_ground_state(ModelParams(p=p, lam=lam))
+    assert res.converged and res.iterations <= 30
+    assert SolverOptions().tol_grad < _roundoff_floor(res)
+    assert res.gradient_norm <= _roundoff_floor(res)
+
+
+@pytest.mark.parametrize("state", ["state_far_p4", "state_mid_p4", "state_near_p4"])
+def test_roundoff_floor_below_tolerance_on_default_states(state, request):
+    """On the states of the default sweep the floor lies far below tol_grad,
+    which alone decides convergence there."""
+    res = request.getfixturevalue(state)
+    assert _roundoff_floor(res) < 1e-2 * SolverOptions().tol_grad
+    assert res.gradient_norm <= SolverOptions().tol_grad
+
+
 @pytest.mark.parametrize("lam", [-40.0, -8.0, -2.0, 1.5, 1.95])
 @pytest.mark.parametrize("p", [3.5, 4.0, 5.0, 5.5])
 def test_default_start_matches_limit_start(p, lam):
@@ -597,11 +624,14 @@ def test_symmetrize_coeffs_idempotent(rng):
     assert np.abs(g.reduce_even(odd)).max() == 0.0
 
 
-@pytest.mark.parametrize("lam", [0.5, -8.0])
+@pytest.mark.parametrize("lam", [0.5, -8.0, -40.0, 1.95])
 def test_sector_hessian_block_product(lam, rng):
-    """The block product equals the column-by-column product, and is
-    symmetric, on the unit grid (diagonal linear part) and on a far grid
-    of radial basis frequency |lambda| (tridiagonal linear part)."""
+    """The block product equals the column-by-column product and, with the
+    even transforms' scalars folded into its weight, the transform-pair
+    form apply_lin(c) - to_even(w from_even(c)), w = (p-1)|u|^{p-2}; and it
+    is symmetric.  On the unit grid (diagonal linear part), on far grids
+    of radial basis frequency |lambda| (tridiagonal linear part) and on
+    the stretched near grid."""
     params = ModelParams(p=4.0, lam=lam)
     g = grid_for(params, Resolution(K=12, Mz=32, Lz=8.0))
     assert g.omega == max(1.0, -lam)
@@ -613,8 +643,42 @@ def test_sector_hessian_block_product(lam, rng):
     block = hess.matmat(X)
     columns = np.column_stack([hess.matvec(X[:, i]) for i in range(3)])
     assert np.abs(block - columns).max() <= 1e-13 * np.abs(columns).max()
+    c = X.T.reshape(3, g.K, -1)
+    w = (params.p - 1.0) * np.abs(base) ** (params.p - 2.0)
+    pair = (prob.apply_lin(c) - g.to_even(w * g.from_even(c))).reshape(3, -1).T
+    assert np.abs(block - pair).max() <= 1e-13 * np.abs(pair).max()
     gram = X.T @ block
     assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lobpcg_matches_dense_eigh(n):
+    """On a tiny grid (54 sector unknowns) lobpcg from a random start finds
+    the n smallest eigenvalues of the densified sector Hessian at a ground
+    state, one of them negative, and returns orthonormal vectors."""
+    res = solve_ground_state(ModelParams(p=4.0, lam=0.5), resolution=Resolution(K=6, Mz=16))
+    op = _sector_op(res.problem, res.u.values)
+    dense = np.linalg.eigvalsh(op.matmat(np.eye(op.shape[0])))
+    X = np.random.default_rng(n).standard_normal((op.shape[0], n))
+    vals, vecs = ground_state.lobpcg(op, X, M=res.problem.precond)
+    assert dense[0] < 0.0 < dense[1]
+    assert np.abs(vals - dense[:n]).max() <= 1e-10
+    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, -40.0], ids=["unit", "far"])
+def test_project_returns_linear_apply(lam):
+    """The Nehari projection returns t L c, which the gradient and the step
+    length reuse: it equals apply_lin of the projected coefficients."""
+    params = ModelParams(p=4.0, lam=lam)
+    g = grid_for(params, Resolution(K=12, Mz=32, Lz=8.0))
+    prob = StationaryProblem(g, params.p, params.lam)
+    z = g.dz * np.arange(g.Mz // 2 + 1)
+    start = g.to_even(np.exp(-g.omega * (g.r[:, None] ** 2 + z[None, :] ** 2) / 2.0))
+    c, values, _, lc = ground_state._project(prob, start)
+    ref = prob.apply_lin(c)
+    assert np.abs(lc - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(values - g.from_even(c)).max() <= 1e-13 * np.abs(values).max()
 
 
 # -- level monotonicity across the rescaled problems --------------------------------
