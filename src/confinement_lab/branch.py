@@ -3,20 +3,21 @@
 The branch lambda -> u_lambda is swept with warm starts, the mass curve
 M(lambda) = int u_lambda^2 recorded, and each sample classified by the
 slope criterion: dM/dlambda < 0 means the standing wave is orbitally
-stable, > 0 unstable.  The slope's primary estimator solves the
-linearized equation for the frequency derivative chi = du/dlambda (one
-linear solve); centered finite differences are the cross-check.  The same
-chi is the branch tangent: every warm-started solve is a continued_solve
-from the previous state, by the Euler predictor u + (lambda' - lambda) chi
-unless the grid changes within its family, that falls back to the cold
-start, and the sweep is one such chain over its sorted grid.
+stable, > 0 unstable, tagged by the dimensionless tau dM/dlambda / M.
+The slope's primary estimator solves the linearized equation for the
+frequency derivative chi = du/dlambda (one linear solve); centered
+finite differences are the cross-check.  The same chi is the branch
+tangent: every warm-started solve is a continued_solve from the previous
+state, by the Euler predictor u + (lambda' - lambda) chi unless the grid
+changes within its family, that falls back to the cold start, and the
+sweep is one such chain over its sorted grid.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .ground_state import (COLLAPSE_MASS, FAR_SWITCH, GroundStateResult, Resolut
                            solve_ground_state)
 from .limits import shoot_3d, soliton_1d
 
-SLOPE_TOL = 1e-8        # |dM/dlambda| at or below this is "undetermined"
+SLOPE_TOL = 1e-8        # |tau dM/dlambda / M| at or below this is "undetermined"
 FD_DELTA = 1e-3         # half-width of the centered mass difference
 
 
@@ -73,24 +74,13 @@ class BranchCurve:
             for s in self.samples:
                 wr.writerow(s.row())
 
-    @classmethod
-    def from_csv(cls, path, p: float = float("nan")) -> "BranchCurve":
-        curve = cls(p=p)
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            for row in rd:
-                curve.samples.append(BranchSample(
-                    lam=float(row[0]), mass=float(row[1]), action=float(row[2]),
-                    slope_chi=float(row[3]), slope_fd=float(row[4]),
-                    stability=row[5], eig_min=float(row[6])))
-        return curve
 
-
-def classify_slope(slope: float) -> str:
-    if slope < -SLOPE_TOL:
+def classify_slope(log_slope: float) -> str:
+    """Tag by the dimensionless slope tau (dM/dlambda) / M = -d log M / d log tau,
+    of the sign of dM/dlambda but free of the mass's scale along the branch."""
+    if log_slope < -SLOPE_TOL:
         return "stable"
-    if slope > SLOPE_TOL:
+    if log_slope > SLOPE_TOL:
         return "unstable"
     return "undetermined"
 
@@ -99,7 +89,7 @@ REFINE_ITERS = 500      # iteration budget of a warm-started solve
 
 
 def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent: Field | None,
-                    resolution: Resolution, opts: SolverOptions) -> GroundStateResult:
+                    resolution: Resolution) -> GroundStateResult:
     """Continue the branch from warm to params.lam within REFINE_ITERS
     iterations, from the cold start when that fails or there is no warm state.
 
@@ -119,44 +109,43 @@ def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent
             init = Field(grid, values=warm.u.values, real=True)
         else:
             init = warm.u if tangent is None else warm.u + (params.lam - old.lam) * tangent
-        budget = replace(opts, max_iter=min(opts.max_iter, REFINE_ITERS))
         try:
-            return solve_ground_state(params, init=init, opts=budget, grid=grid)
+            return solve_ground_state(params, init=init, opts=SolverOptions(max_iter=REFINE_ITERS),
+                                      grid=grid)
         except ConfinementLabError:
             pass
-    return solve_ground_state(params, opts=opts, grid=grid)
+    return solve_ground_state(params, grid=grid)
 
 
 def slope_finite_difference(p: float, lam: float,
                             resolution: Resolution = Resolution(),
-                            opts: SolverOptions = SolverOptions(),
                             warm: GroundStateResult | None = None) -> float:
     """Centered difference (M(lam+FD_DELTA) - M(lam-FD_DELTA)) / (2 FD_DELTA),
     both ends solved from warm.u (cold without it) on lam's own grid, so
     the discretization error of grid_for's lambda-dependent grids cancels."""
     grid, init = grid_for(ModelParams(p=p, lam=lam), resolution), warm.u if warm else None
     lo, hi = (solve_ground_state(ModelParams(p=p, lam=lam + s * FD_DELTA), init=init,
-                                 opts=opts, grid=grid).mass for s in (-1.0, 1.0))
+                                 grid=grid).mass for s in (-1.0, 1.0))
     return (hi - lo) / (2.0 * FD_DELTA)
 
 
 def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
                    compute_eig: bool = True,
-                   resolution: Resolution = Resolution(),
-                   opts: SolverOptions = SolverOptions()) -> BranchSample:
+                   resolution: Resolution = Resolution()) -> BranchSample:
     """Slope, stability tag, lowest sector eigenvalue and tangent of one
     state; solve_chi's error on a near-singular chi solve propagates."""
     tangent, slope = solve_chi(result)
     slope_fd = float("nan")
     if compute_fd:
         slope_fd = slope_finite_difference(result.params.p, result.params.lam,
-                                           resolution=resolution, opts=opts, warm=result)
+                                           resolution=resolution, warm=result)
     eig_min = float("nan")
     if compute_eig:
         eig_min = linearized_smallest_eigs(result.problem, result.u.values, n=1)[0][0]
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
-                        stability=classify_slope(slope), eig_min=eig_min,
+                        stability=classify_slope(result.params.tau * slope / result.mass),
+                        eig_min=eig_min,
                         tangent=tangent)
 
 
@@ -172,7 +161,6 @@ def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05) -> np.nda
 
 def sweep(p: float, lambda_grid: Sequence[float] | None = None,
           resolution: Resolution = Resolution(),
-          opts: SolverOptions = SolverOptions(),
           compute_fd: bool = False, compute_eig: bool = True) -> BranchCurve:
     """Solve along a frequency grid as one continuation chain, from the most
     negative frequency up.
@@ -193,9 +181,9 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     warm = tangent = None
     for lam in lams:
         try:
-            result = continued_solve(ModelParams(p=p, lam=lam), warm, tangent, resolution, opts)
+            result = continued_solve(ModelParams(p=p, lam=lam), warm, tangent, resolution)
             sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
-                                    resolution=resolution, opts=opts)
+                                    resolution=resolution)
         except ConfinementLabError as exc:
             curve.failures.append((lam, exc))
             continue
@@ -288,7 +276,7 @@ MASS_MAX_ITER = 80      # solves of one tail's mass search
 FAR_TAU_MAX = math.pi * COLLAPSE_MASS ** (-2.0 / 3.0)
 
 
-def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
+def _tail_mass_root(p, c, tail, x, expo, window, resolution, rel_tol):
     """The ground state with M(lambda) = c^2 on one monotone tail, from x.
 
     Each tail's mass follows a power law of tau = LAMBDA0 - lambda, so
@@ -315,7 +303,7 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
             to = "LAMBDA0" if lam == LAMBDA0 else "the last solve's lambda"
             raise BracketNotFound(f"p={p:g}, c={c:g}: lambda cannot resolve the {tail}-tail "
                                   f"tau={tau:.3g}: LAMBDA0 - tau rounds to {to}, {lam!r}")
-        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution, opts)
+        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution)
         if abs(res.mass - target) <= rel_tol * target:
             return res
         f = math.log(res.mass / target)
@@ -362,7 +350,6 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, opts, rel_tol):
 
 def find_mass_pair(p: float, c: float,
                    resolution: Resolution = Resolution(),
-                   opts: SolverOptions = SolverOptions(),
                    mass_rel_tol: float = 1e-7) -> MassPair:
     """Two ground states of prescribed L^2 norm c on opposite monotone tails.
 
@@ -381,19 +368,16 @@ def find_mass_pair(p: float, c: float,
 
     # far tail: M ~ |lambda|^{2/(p-2)-3/2} int vtilde^2, increasing in lambda
     low = _tail_mass_root(p, c, "far", math.log(LAMBDA0 + 8.0), 2.0 / (p - 2.0) - 1.5,
-                          (math.log(LAMBDA0), math.log(FAR_TAU_MAX)), resolution, opts,
-                          mass_rel_tol)
+                          (math.log(LAMBDA0), math.log(FAR_TAU_MAX)), resolution, mass_rel_tol)
     # near tail: M ~ tau^{2/(p-2)-1/2} int what^2, decreasing in lambda
     expo_near = 2.0 / (p - 2.0) - 0.5
     x_est = math.log(c * c / soliton_1d(p).mass) / expo_near
     high = _tail_mass_root(p, c, "near", min(x_est, 0.0), expo_near, (-math.inf, 0.0),
-                           resolution, opts, mass_rel_tol)
-
-    _, slope_low = solve_chi(low)
-    _, slope_high = solve_chi(high)
+                           resolution, mass_rel_tol)
+    tag_low, tag_high = (classify_slope(r.params.tau * solve_chi(r)[1] / r.mass)
+                         for r in (low, high))
     return MassPair(c=c, lambda_low=low.params.lam, lambda_high=high.params.lam,
-                    low=low, high=high,
-                    tag_low=classify_slope(slope_low), tag_high=classify_slope(slope_high))
+                    low=low, high=high, tag_low=tag_low, tag_high=tag_high)
 
 
 # -- mass supremum scan -----------------------------------------------------------

@@ -22,7 +22,7 @@ from . import __version__
 from .core import ModelParams, save_field
 from .errors import ConfinementLabError, EigsNotConverged, NearSingular, NotConverged
 from .functionals import report
-from .ground_state import Resolution, SolverOptions, solve_ground_state
+from .ground_state import Resolution, solve_ground_state
 from .branch import (analyze_sample, default_lambda_grid, find_mass_pair,
                      mass_sup_scan, sweep)
 from .limits import profiles_to_csv, shoot_1d, shoot_3d, soliton_1d
@@ -31,16 +31,13 @@ from . import verify as verify_mod
 
 
 def _add_common(sp, solves=True):
-    """The options every subcommand takes; with solves, the grid and the
-    solver settings too.  --seed goes only where it is read."""
+    """The options every subcommand takes; with solves, the grid too.
+    --seed goes only where it is read."""
     sp.add_argument("--p", type=float, default=4.0, help="nonlinearity exponent in (2,6)")
     if solves:
         sp.add_argument("--K", type=int, default=Resolution().K)
         sp.add_argument("--Mz", type=int, default=Resolution().Mz)
         sp.add_argument("--Lz", type=float, default=Resolution().Lz)
-        sp.add_argument("--tol-grad", type=float, default=SolverOptions().tol_grad)
-        sp.add_argument("--tol-nehari", type=float, default=SolverOptions().tol_nehari)
-        sp.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
     sp.add_argument("--outdir", type=Path, default=Path("out"))
 
 
@@ -140,18 +137,15 @@ def _write_config(args) -> None:
         json.dumps(_config_dict(args), indent=2, sort_keys=True, default=_json_default))
 
 
-def _prep(args):
+def _prep(args) -> Resolution:
     _write_config(args)
-    res = Resolution(K=args.K, Mz=args.Mz, Lz=args.Lz)
-    opts = SolverOptions(tol_grad=args.tol_grad, tol_nehari=args.tol_nehari,
-                         max_iter=args.max_iter)
-    return res, opts
+    return Resolution(K=args.K, Mz=args.Mz, Lz=args.Lz)
 
 
 def cmd_solve(args) -> int:
-    res, opts = _prep(args)
+    res = _prep(args)
     params = ModelParams(p=args.p, lam=args.lam)
-    result = solve_ground_state(params, resolution=res, opts=opts)
+    result = solve_ground_state(params, resolution=res)
     rep = report(result.u, params)
     sample = analyze_sample(result)
     save_field(result.u, args.outdir / "u", p=args.p, lam=args.lam)
@@ -174,12 +168,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    res, opts = _prep(args)
+    res = _prep(args)
     if args.lambda_grid:
         grid = _floats(args.lambda_grid)
     else:
         grid = default_lambda_grid(lam_min=args.lambda_min, tau_min=args.tau_min)
-    curve = sweep(args.p, grid, resolution=res, opts=opts,
+    curve = sweep(args.p, grid, resolution=res,
                   compute_fd=args.with_fd, compute_eig=not args.skip_eigs)
     for lam, exc in curve.failures:
         print(f"failed: lambda={lam:g}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -194,12 +188,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    res, opts = _prep(args)
+    res = _prep(args)
     given = vars(args)
     verdict = verify_mod.run_check(args.theorem, p=args.p,
                                    lambdas=_floats(given.get("lambdas", "")),
                                    taus=_floats(given.get("tau", "")),
-                                   resolution=res, opts=opts)
+                                   resolution=res)
     out = args.outdir / f"verify_{args.theorem.replace('.', '_')}.json"
     out.write_text(json.dumps(verdict, indent=2, sort_keys=True, default=_json_default))
     print(f"{args.theorem}: {verdict['verdict']} -> {out}")
@@ -225,8 +219,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    res, opts = _prep(args)
-    pair = find_mass_pair(args.p, args.c, resolution=res, opts=opts)
+    res = _prep(args)
+    pair = find_mass_pair(args.p, args.c, resolution=res)
     meta = {
         "c": args.c, "p": args.p,
         "lambda_low": pair.lambda_low, "lambda_high": pair.lambda_high,
@@ -243,12 +237,12 @@ def cmd_pair(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    res, opts = _prep(args)
+    res = _prep(args)
     cfg = EvolutionConfig(dt=args.dt, T=args.T, perturbation=args.perturbation,
                           shape=args.shape, record_every=args.record_every,
                           seed=args.seed)
     params = ModelParams(p=args.p, lam=args.lam)
-    result = solve_ground_state(params, resolution=res, opts=opts)
+    result = solve_ground_state(params, resolution=res)
     psi0 = perturbed_state(result.u, cfg)
     snap_dir = None
     if args.snapshots:

@@ -53,6 +53,7 @@ FAR_SWITCH = -6.0
 MAX_NEWTON = 50           # Newton steps per solve
 COLLAPSE_MASS = 1e-12     # an iterate with less squared L^2 norm has collapsed
 LOBPCG_TOL = 2e-7         # eigenpair residual 2-norm at which LOBPCG stops
+TOL_NEHARI = 1e-10        # Nehari residual at which a solve stops, relative to int |u|^p
 EPS = np.finfo(float).eps
 
 
@@ -61,13 +62,11 @@ class Resolution:
     K: int = DEFAULT_K
     Mz: int = DEFAULT_MZ
     Lz: float = DEFAULT_LZ
-    oversample: int = 2
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_grad: float = 1e-9        # absolute L^2 norm of the action gradient
-    tol_nehari: float = 1e-10     # relative to int |u|^p
     max_iter: int = 5000
 
 
@@ -254,7 +253,7 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         mass = float(np.sum(c * c))
         gscale = quad / np.sqrt(mass)   # <= ||L c||, whose roundoff floors ||grad|| near eps * it
         converged = (gn <= max(opts.tol_grad, 10.0 * EPS * gscale)
-                     and abs(res) <= opts.tol_nehari * max(lp, 1e-300))
+                     and abs(res) <= TOL_NEHARI * max(lp, 1e-300))
         if converged or it > opts.max_iter:
             break
         if mass < COLLAPSE_MASS:
@@ -348,8 +347,7 @@ def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Disc
         stretch = 1.0 / np.sqrt(omega)
     elif params.tau < 1.0:
         stretch = 1.0 / np.sqrt(params.tau)
-    return build(resolution.K, resolution.Mz, resolution.Lz * stretch,
-                 omega=omega, oversample=resolution.oversample)
+    return build(resolution.K, resolution.Mz, resolution.Lz * stretch, omega=omega)
 
 
 def solve_ground_state(params: ModelParams, init: Field | None = None,

@@ -14,8 +14,7 @@ import numpy as np
 from .core import LAMBDA0, ModelParams
 from .errors import NotConverged
 from .functionals import h1_distance, h_distance, quadratic_parts, report
-from .ground_state import (Resolution, SolverOptions, linearized_smallest_eigs,
-                           solve_ground_state)
+from .ground_state import Resolution, linearized_smallest_eigs, solve_ground_state
 from .branch import (analyze_sample, continued_solve, default_lambda_grid,
                      mass_sup_scan, slope_prefactor_far, slope_prefactor_near, sweep)
 from .limits import free_soliton_field, near_limit_field, shoot_3d, soliton_1d
@@ -32,8 +31,7 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def check_far_regime(p: float, lambdas, resolution=Resolution(),
-                     opts=SolverOptions()) -> dict:
+def check_far_regime(p: float, lambdas, resolution=Resolution()) -> dict:
     """Rescaled states approach the free soliton; premultiplied mass approaches
     its squared L^2 norm."""
     lambdas = sorted(lambdas, reverse=True)        # toward -infinity
@@ -43,7 +41,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
     rows = []
     warm = None
     for lam in lambdas:
-        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution, opts)
+        res = warm = continued_solve(ModelParams(p=p, lam=lam), warm, None, resolution)
         vfield = to_v(res.u, lam, p)
         ref = free_soliton_field(p, vfield.grid, profile=prof)
         dist = h1_distance(vfield, ref, relative=True)
@@ -62,8 +60,7 @@ def check_far_regime(p: float, lambdas, resolution=Resolution(),
             "verdict": _verdict(ok)}
 
 
-def check_near_regime(p: float, taus, resolution=Resolution(),
-                      opts=SolverOptions()) -> dict:
+def check_near_regime(p: float, taus, resolution=Resolution()) -> dict:
     """Rescaled states factorize into (planar mode) x (1D soliton)."""
     taus = sorted(taus, reverse=True)              # toward 0+
     if not taus:
@@ -74,7 +71,7 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     for tau in taus:
         lam = LAMBDA0 - tau
         params = ModelParams(p=p, lam=lam)
-        res = warm = continued_solve(params, warm, None, resolution, opts)
+        res = warm = continued_solve(params, warm, None, resolution)
         w = to_w(res.u, lam, p)
         ref = near_limit_field(p, w.grid)
         dist = h_distance(w, ref, relative=True)
@@ -104,10 +101,10 @@ def check_near_regime(p: float, taus, resolution=Resolution(),
     return out
 
 
-def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions()) -> dict:
+def check_mass_bound(p: float, resolution=Resolution()) -> dict:
     """Finite interior maximum of the mass curve; both tails decay below it."""
     grid = default_lambda_grid(lam_min=-40.0, tau_min=0.01)
-    curve = sweep(p, grid, resolution=resolution, opts=opts, compute_eig=False)
+    curve = sweep(p, grid, resolution=resolution, compute_eig=False)
     if not curve.samples:       # every sample failed: no curve to bound
         return {"check": "mass_bound", "p": p, "n_failures": len(curve.failures),
                 "verdict": "undetermined"}
@@ -126,16 +123,15 @@ def check_mass_bound(p: float, resolution=Resolution(), opts=SolverOptions()) ->
             "verdict": _verdict(ok)}
 
 
-def check_slopes(p: float, resolution=Resolution(), opts=SolverOptions()) -> dict:
+def check_slopes(p: float, resolution=Resolution()) -> dict:
     """Slope signs at both ends, slope estimator cross-validation, the sign
     of the analytic tail prefactors, and the slope criterion's hypothesis:
     exactly one negative sector eigenvalue (Morse index one)."""
     rows = []
     for lam in (LAM_FAR, LAMBDA0 - TAU_NEAR):
         params = ModelParams(p=p, lam=lam)
-        res = solve_ground_state(params, resolution=resolution, opts=opts)
-        sample = analyze_sample(res, compute_fd=True, compute_eig=False,
-                                resolution=resolution, opts=opts)
+        res = solve_ground_state(params, resolution=resolution)
+        sample = analyze_sample(res, compute_fd=True, compute_eig=False, resolution=resolution)
         eigs = linearized_smallest_eigs(res.problem, res.u.values, n=2)
         eig_min, eig_second = eigs[0][0], eigs[1][0]
         agree = abs(sample.slope_chi - sample.slope_fd) <= max(
@@ -157,17 +153,16 @@ def check_slopes(p: float, resolution=Resolution(), opts=SolverOptions()) -> dic
             "morse_index_one": bool(morse_ok), "verdict": _verdict(ok)}
 
 
-def run_check(theorem: str, p: float, lambdas, taus,
-              resolution=Resolution(), opts=SolverOptions()) -> dict:
+def run_check(theorem: str, p: float, lambdas, taus, resolution=Resolution()) -> dict:
     try:
         if theorem == "1.3":
-            return check_far_regime(p, lambdas, resolution, opts)
+            return check_far_regime(p, lambdas, resolution)
         if theorem == "A.3":
-            return check_near_regime(p, taus, resolution, opts)
+            return check_near_regime(p, taus, resolution)
         if theorem == "A.8":
-            return check_mass_bound(p, resolution, opts)
+            return check_mass_bound(p, resolution)
         if theorem == "slopes":
-            return check_slopes(p, resolution=resolution, opts=opts)
+            return check_slopes(p, resolution)
     except NotConverged as exc:
         return {"check": theorem, "p": p, "error": str(exc), "verdict": "undetermined"}
     raise ValueError(f"unknown check {theorem!r}")

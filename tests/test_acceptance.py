@@ -16,7 +16,7 @@ from confinement_lab.branch import (default_lambda_grid, find_mass_pair,
 from confinement_lab.dynamics import EvolutionConfig, evolve, perturbed_state
 from confinement_lab.functionals import gradient, h1_distance, h_distance, report
 from confinement_lab.grid import build
-from confinement_lab.ground_state import (Resolution, nehari_scale,
+from confinement_lab.ground_state import (Resolution, grid_for, nehari_scale,
                                           solve_chi, solve_ground_state)
 from confinement_lab.limits import (free_soliton_field, near_limit_field,
                                     planar_ground_mode, shoot_1d, shoot_3d,
@@ -81,8 +81,9 @@ def full_sweep_p4():
 @pytest.fixture(scope="module")
 def dyn_stable():
     """Collocation-grid stable-branch state (tau = 0.2) for dynamics runs."""
-    return solve_ground_state(ModelParams(p=4.0, lam=1.8),
-                              resolution=Resolution(K=32, Mz=192, oversample=1))
+    params = ModelParams(p=4.0, lam=1.8)
+    g = grid_for(params, Resolution(K=32, Mz=192))
+    return solve_ground_state(params, grid=build(g.K, g.Mz, g.Lz, g.omega, oversample=1))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from confinement_lab.branch import (BranchCurve, BranchSample, analyze_sample,
+from confinement_lab.branch import (SLOPE_TOL, BranchCurve, BranchSample, analyze_sample,
                                     asymptotic_constants, classify_slope,
                                     default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_prefactor_far,
@@ -46,9 +48,22 @@ def test_mass_tends_to_zero_at_both_ends(small_curve):
 
 
 def test_classify_slope():
+    """classify_slope reads tau (dM/dlambda) / M against the dimensionless SLOPE_TOL."""
     assert classify_slope(-1.0) == "stable"
     assert classify_slope(+1.0) == "unstable"
     assert classify_slope(0.0) == "undetermined"
+    assert classify_slope(-2 * SLOPE_TOL) == "stable"
+    assert classify_slope(2 * SLOPE_TOL) == "unstable"
+    assert classify_slope(0.5 * SLOPE_TOL) == "undetermined"
+
+
+def test_find_mass_pair_tags_a_far_root_of_tiny_slope():
+    """At p = 3.5, c = 1.5 the far root lies near lambda = -7.46e7, where
+    dM/dlambda is 5.0e-9 but tau (dM/dlambda) / M is the far tail's 1/6:
+    the low state is tagged unstable, the high one stable."""
+    pair = find_mass_pair(3.5, 1.5)
+    assert pair.lambda_low == pytest.approx(-7.46e7, rel=1e-2)
+    assert (pair.tag_low, pair.tag_high) == ("unstable", "stable")
 
 
 def test_csv_roundtrip(tmp_path, small_curve):
@@ -56,10 +71,11 @@ def test_csv_roundtrip(tmp_path, small_curve):
     small_curve.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "lambda,mass,action,slope_chi,slope_fd,stability,eig_min"
-    loaded = BranchCurve.from_csv(path, p=4.0)
-    assert len(loaded.samples) == len(small_curve.samples)
-    assert loaded.samples[0].lam == small_curve.samples[0].lam
-    assert loaded.samples[3].mass == pytest.approx(small_curve.samples[3].mass)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(small_curve.samples)
+    for row, s in zip(rows, small_curve.samples):
+        assert list(row.values()) == [str(v) for v in s.row()]
 
 
 def test_mass_sup_scan_properties(small_curve):
@@ -295,7 +311,7 @@ def test_predicted_chain_matches_cold_solves():
     for s in curve.samples:
         cold = solve_ground_state(ModelParams(p=4.0, lam=s.lam), resolution=resolution)
         assert s.mass == pytest.approx(cold.mass, rel=1e-8)
-        assert s.stability == classify_slope(solve_chi(cold)[1])
+        assert s.stability == classify_slope(cold.params.tau * solve_chi(cold)[1] / cold.mass)
 
 
 def test_failed_analysis_fails_that_sample_alone(monkeypatch, tmp_path):
@@ -481,12 +497,11 @@ def test_continued_solve_relabels_in_family_and_resamples_across(monkeypatch, st
     same nodal values on the dilated far grid, with no resample; a step to
     -5, on the unit grid, resamples the start."""
     from confinement_lab import branch, ground_state
-    from confinement_lab.ground_state import SolverOptions, grid_for
+    from confinement_lab.ground_state import grid_for
     resamples = _counted(monkeypatch, ground_state, "resample")
     starts = _recorded_starts(monkeypatch)
     for lam in (-50.0, -5.0):
-        branch.continued_solve(ModelParams(p=4.0, lam=lam), state_far_p4, None,
-                               Resolution(), SolverOptions())
+        branch.continued_solve(ModelParams(p=4.0, lam=lam), state_far_p4, None, Resolution())
     (_, far), (_, unit) = starts
     assert far.grid is grid_for(ModelParams(p=4.0, lam=-50.0))
     assert np.array_equal(far.values, state_far_p4.u.values)
@@ -501,16 +516,15 @@ def test_mass_root_secant_inside_bracket(monkeypatch, c):
     import math
     from types import SimpleNamespace
     from confinement_lab import branch
-    from confinement_lab.ground_state import SolverOptions
     taus = []
 
-    def law(params, warm, tangent, resolution, opts):
+    def law(params, warm, tangent, resolution):
         taus.append(params.tau)
         return SimpleNamespace(params=params, mass=19.0 * params.tau**-0.5 * (1.0 + 1.0 / params.tau))
 
     monkeypatch.setattr(branch, "continued_solve", law)
     res = branch._tail_mass_root(4.0, c, "far", math.log(10.0), -0.5, (math.log(LAMBDA0), math.inf),
-                                 Resolution(), SolverOptions(), 1e-7)
+                                 Resolution(), 1e-7)
     assert abs(res.mass / c**2 - 1.0) <= 1e-7 and len(taus) <= 5
 
 

@@ -23,6 +23,7 @@ def test_solve_writes_snapshot_and_metadata(tmp_path):
     assert meta["stability"] in ("stable", "unstable", "undetermined")
     cfg = json.loads((out / "run_config.json").read_text())
     assert cfg["lam"] == 1.5 and "version" in cfg and "init" not in cfg
+    assert not {"tol_grad", "tol_nehari", "max_iter"} & set(cfg)
     field, header = load_field(out / "u")
     assert header["sha256"]
     assert field.values.max() > 0
@@ -201,10 +202,18 @@ def test_sweep_jobs_runs_one_process(tmp_path, monkeypatch):
 
 
 def test_subcommands_refuse_flags_they_ignore(tmp_path):
-    """limits takes no grid or solver settings, and solve no --seed and no
-    --init (a cold solve has one start): all are configuration errors, and
+    """limits takes no grid settings, no subcommand takes solver settings
+    (the stopping test is fixed), and solve takes no --seed and no --init
+    (a cold solve has one start): all are configuration errors, and
     run_config.json of limits holds only what limits reads."""
     assert main(["limits", "--K", "16", "--outdir", str(tmp_path / "l")]) == 2
+    required = {"solve": ["--lambda", "1.5"], "sweep": [], "verify": ["--theorem", "A.8"],
+                "pair": ["--c", "1"], "evolve": ["--lambda", "1.5"]}
+    for cmd, args in required.items():
+        for flag, value in (("--tol-grad", "1e-9"), ("--tol-nehari", "1e-10"),
+                            ("--max-iter", "5000")):
+            assert main([cmd, *args, flag, value, "--outdir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     assert main(["solve", "--lambda", "1.5", "--seed", "1", "--outdir", str(tmp_path / "s")]) == 2
     assert main(["solve", "--lambda", "1.5", "--init", "gaussian",
                  "--outdir", str(tmp_path / "i")]) == 2

@@ -7,16 +7,17 @@ from confinement_lab.dynamics import (PERTURBATION_SHAPES, EvolutionConfig, ener
                                       evolve, make_perturbation, orbital_distance,
                                       perturbed_state)
 from confinement_lab.errors import ShapeMismatch, StepTooLarge
-from confinement_lab.grid import Discretization
-from confinement_lab.ground_state import Resolution, solve_ground_state
+from confinement_lab.grid import Discretization, build
+from confinement_lab.ground_state import Resolution, grid_for, solve_ground_state
 
 
 @pytest.fixture(scope="module")
 def stable_state():
     """Ground state at p=4, tau=0.2, solved on the collocation resolution
     so it is exactly stationary for the discrete flow."""
-    return solve_ground_state(ModelParams(p=4.0, lam=1.8),
-                              resolution=Resolution(K=32, Mz=192, oversample=1))
+    params = ModelParams(p=4.0, lam=1.8)
+    g = grid_for(params, Resolution(K=32, Mz=192))
+    return solve_ground_state(params, grid=build(g.K, g.Mz, g.Lz, g.omega, oversample=1))
 
 
 def test_config_validation():
