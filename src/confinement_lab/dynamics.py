@@ -14,9 +14,9 @@ exp(+i dt |psi|^{p-2}); :func:`evolve` applies them as one and splits
 the rotation into two half-steps only where the state is observed (the
 record points, the early energy check and the last step), so the run
 is still exact Strang splitting at half the pointwise work.  A rotation
-by theta takes one transcendental, t = tan(theta/2): cos theta =
-(1 - t^2)/(1 + t^2), sin theta = 2t/(1 + t^2) (no double is an odd
-multiple of pi/2, so t^2 cannot overflow).
+by theta takes one transcendental, t = tan(theta/2): with q = 2/(1 + t^2),
+cos theta = (1 - t^2)/(1 + t^2) = q - 1 and sin theta = 2t/(1 + t^2) = q t
+(no double is an odd multiple of pi/2, so t^2 cannot overflow).
 
 The flow keeps an even state even, and the start must be even in z (as
 Field.even_z measures it): the state is held on the even half grid (the
@@ -33,10 +33,13 @@ square with orthonormal columns, polished in that form by
 in the wrad-weighted norm (polishing phi alone and forming proj
 afterwards left a steady mass bias of about -1e-15 per step), and the
 sqrt(w)-weighted DCT-I makes U_z unitary in the wz-weighted norm of
-quad_even in the same way.  A record reads the pair: one to_even gives
-its sqrt(w)-weighted even coefficients, from which, with the half-grid
-values, come mass, energy and orbital distance; a full-grid Field is
-built only for a snapshot.
+quad_even in the same way.  A record reads the pair between its two
+half-steps, and reuses what the first one computed: the rotation leaves
+|psi| unchanged, so the second half-step turns by the first one's
+(cos, sin), and the same |psi|^2 gives the mass and the energy's
+int |psi|^p.  One to_even gives the sqrt(w)-weighted even coefficients,
+from which come the energy's quadratic part and the orbital distance; a
+full-grid Field is built only for a snapshot.
 
 Orbital distance to a standing-wave orbit quotients out the global phase
 (closed form) and axial translations (scan and Newton polish) in the
@@ -96,13 +99,13 @@ class EvolutionTrace:
                    header="t,mass,energy,orbital_distance", comments="")
 
 
-def energy_value(g: Discretization, coeffs: np.ndarray, values: np.ndarray, p: float) -> float:
+def energy_value(g: Discretization, coeffs: np.ndarray, mod: np.ndarray, p: float,
+                 diag: np.ndarray) -> float:
     """Conserved energy (1/2) int |grad psi|^2 + |y|^2 |psi|^2 - (1/p) int |psi|^p
-    of an even state, from the sqrt(w)-weighted even coefficients and the
-    half-grid values of (Re psi, Im psi) on the unit-frequency grid g."""
-    quad = float(np.sum(g.lin_diag(coeffs.shape[-1], 0.0) * (coeffs[0] ** 2 + coeffs[1] ** 2)))
-    mod = values[0] ** 2
-    mod += values[1] ** 2
+    of an even state, from the sqrt(w)-weighted even coefficients of
+    (Re psi, Im psi) and |psi|^2 on the half grid of the unit-frequency grid
+    g; diag is g.lin_diag(coeffs.shape[-1], 0), built once per run."""
+    quad = float((np.square(coeffs).reshape(2, -1) @ diag.ravel()).sum())
     return 0.5 * quad - float(g.quad_even(mod ** (0.5 * p))) / p
 
 
@@ -178,16 +181,18 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
     c = psi0.coeffs
     state = g.from_even(np.stack([g.reduce_even(c), g.reduce_even(c.imag)]))
     linear = _propagator(g, dt)
-    e0 = energy_value(g, g.to_even(state), state, p)
+    diag = g.lin_diag(state.shape[-1], 0.0)
+    mod = _modulus(state)
+    e0 = energy_value(g, g.to_even(state), mod, p, diag)
     scale = max(abs(e0), 1.0)
 
     times, masses, energies, dists = [], [], [], []
 
-    def record(step, state):
+    def record(step, state, mod):
         coeffs = g.to_even(state)
         times.append(step * dt)
-        masses.append(float(g.quad_even(state[0] ** 2 + state[1] ** 2)))
-        energies.append(energy_value(g, coeffs, state, p))
+        masses.append(float(g.quad_even(mod)))
+        energies.append(energy_value(g, coeffs, mod, p, diag))
         dists.append(orbital_distance_data(coeffs, ref_data) if ref_data else float("nan"))
         if snapshot_dir is not None:
             full, vals = g.expand_even(coeffs, state)
@@ -195,41 +200,46 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
             save_field(fld, Path(snapshot_dir) / f"psi_{step:08d}",
                        p=p, lam=params.lam, extra={"t": step * dt})
 
-    def rotate(state, h):
-        # re + i im *= exp(i theta), theta = h |psi|^{p-2}, in place, through
-        # t = tan(theta/2): one transcendental instead of a cos and a sin
-        re, im = state
-        t = re ** 2
-        t += im ** 2
+    def rotation(t, h):
+        # (cos, sin) of theta = h |psi|^{p-2} from t = |psi|^2, overwritten,
+        # through tan(theta/2): one transcendental instead of a cos and a sin
         if p != 4.0:
             t **= 0.5 * (p - 2.0)
         t *= 0.5 * h
         np.tan(t, out=t)
-        t2 = t * t
-        den = 1.0 + t2
-        _turn(state, (1.0 - t2) / den, 2.0 * t / den)
+        q = t * t
+        q += 1.0
+        np.divide(2.0, q, out=q)    # 2 / (1 + t^2)
+        t *= q                      # sin = 2t / (1 + t^2)
+        q -= 1.0                    # cos = (1 - t^2) / (1 + t^2)
+        return q, t
 
-    record(0, state)
+    record(0, state, mod)
     # a full rotation is one step's trailing half-step and the next step's
     # leading one; it is split in two only where the state is observed
-    rotate(state, 0.5 * dt)
+    _turn(state, *rotation(mod, 0.5 * dt))
     for step in range(1, n_steps + 1):
         linear(state)
         recorded = step % cfg.record_every == 0 or step == n_steps
         if not recorded and step != ENERGY_CHECK_STEP:
-            rotate(state, dt)
+            _turn(state, *rotation(_modulus(state), dt))
             continue
-        rotate(state, 0.5 * dt)
+        # |psi| is invariant under the rotation, so both half-steps turn by
+        # the same angle and the observation reads the same |psi|^2
+        mod = _modulus(state)
+        half = rotation(mod.copy(), 0.5 * dt)
+        _turn(state, *half)
         if recorded:
-            record(step, state)
+            record(step, state, mod)
             if cfg.stop_when_distance is not None and ref_data and \
                     dists[-1] > cfg.stop_when_distance:
                 break
         if step == ENERGY_CHECK_STEP:
-            drift = abs(energy_value(g, g.to_even(state), state, p) - e0) / scale
+            energy = energies[-1] if recorded else energy_value(g, g.to_even(state), mod, p, diag)
+            drift = abs(energy - e0) / scale
             if drift > 1e-3:
                 raise StepTooLarge(f"energy drift {drift:.2e} over the first {step} steps")
-        rotate(state, 0.5 * dt)     # the next step's leading half-step
+        _turn(state, *half)     # the next step's leading half-step
     return EvolutionTrace(t=np.array(times), mass=np.array(masses),
                           energy=np.array(energies), orbital_distance=np.array(dists), dt=dt)
 
@@ -256,6 +266,14 @@ def _propagator(g: Discretization, dt: float):
     return linear
 
 
+def _modulus(pair):
+    """|psi|^2 = re^2 + im^2 of the real pair (re, im) of planes."""
+    re, im = pair
+    mod = re ** 2
+    mod += im ** 2
+    return mod
+
+
 def _turn(pair, cos, sin):
     """re + i im *= cos + i sin in place, on the real pair (re, im) of planes."""
     re, im = pair
@@ -270,16 +288,20 @@ def _turn(pair, cos, sin):
 # -- orbital distance -------------------------------------------------------------
 
 def _reference_data(u: Field) -> dict:
-    """H weights hw, even coefficients uc, hw uc, per-column and total
-    squared H norms of a real, even reference u, and the scan's cosines."""
+    """H weights hw (raveled), even coefficients uc, hw uc, per-column and total
+    squared H norms of a real, even reference u, the scan's cosines, the
+    half-grid frequencies xi and the Newton series' factors [1, -xi, -xi^2]."""
     g = u.grid
     if not u.even_z or np.abs(u.coeffs.imag).max() > 1e-12 * np.abs(u.coeffs).max():
         raise ShapeMismatch("the reference must be real and even in z")
-    hw = g.lin_diag(g.Mz // 2 + 1, 1.0)
+    M = g.Mz // 2 + 1
+    hw = g.lin_diag(M, 1.0)
     uc = g.reduce_even(u.coeffs)
     col = np.sum(hw * uc**2, axis=0)
-    return {"grid": g, "hw": hw, "uc": uc, "hu": hw * uc, "col": col,
-            "h_norm_sq": float(col.sum()), "cos": _even_dct(g.Mz)[1] / g.sqrt_wz[:, None]}
+    xi = g.xi[:M]
+    return {"grid": g, "hw": hw.ravel(), "uc": uc, "hu": hw * uc, "col": col,
+            "h_norm_sq": float(col.sum()), "cos": _even_dct(g.Mz)[1] / g.sqrt_wz[:, None],
+            "xi": xi, "derivs": np.stack([np.ones_like(xi), -xi, -xi**2])}
 
 
 def orbital_distance_data(coeffs: np.ndarray, ref: dict) -> float:
@@ -296,21 +318,24 @@ def orbital_distance_data(coeffs: np.ndarray, ref: dict) -> float:
             = sum hw (|C - e^{i theta} u cos(xi z0)|^2 + u^2 sin^2(xi z0)),
     both sums of squares taken directly.
     """
-    g = ref["grid"]
-    xi = g.xi[: g.Mz // 2 + 1]
+    g, xi = ref["grid"], ref["xi"]
     b2 = np.einsum("jkm,km->jm", coeffs, ref["hu"])
     scan = b2 @ ref["cos"]                  # (Re, Im) B(n dz), n = 0, ..., Mz/2
-    terms = (b2[0] + 1j * b2[1]) * np.stack([np.ones_like(xi), -xi, -xi**2])
+    terms = (b2[0] + 1j * b2[1]) * ref["derivs"]
 
     def series(z):
         cos = np.cos(xi * z)
         return terms[0] @ cos, terms[1] @ np.sin(xi * z), terms[2] @ cos
 
     z0, bz = _best_shift(series, g.dz * int(np.argmax(np.hypot(*scan))), g.dz)
-    rot = np.exp(1j * np.angle(bz)) * np.cos(xi * z0)
-    resid = coeffs - np.stack([rot.real, rot.imag])[:, None, :] * ref["uc"]
-    d2 = np.sum((resid * resid).reshape(2, -1) @ ref["hw"].ravel())
-    d2 += ref["col"] @ np.sin(xi * z0) ** 2
+    phase = np.exp(1j * np.angle(bz))
+    shifted = np.cos(xi * z0) * ref["uc"]
+    d2 = ref["col"] @ np.sin(xi * z0) ** 2
+    for plane, r in zip(coeffs, (phase.real, phase.imag)):
+        resid = r * shifted
+        resid -= plane
+        resid *= resid
+        d2 += resid.ravel() @ ref["hw"]
     return float(np.sqrt(d2 / ref["h_norm_sq"]))
 
 

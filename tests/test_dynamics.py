@@ -84,10 +84,13 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     g = psi0.grid
     observed = []
 
-    def spy(grid, coeffs, values, power):
-        full = grid.expand_even(coeffs, values)[1]
+    def spy(grid, coeffs, mod, power, diag):
+        vals = grid.from_even(coeffs)
+        # the |psi|^2 the record reuses is the observed state's
+        assert np.abs(mod - vals[0] ** 2 - vals[1] ** 2).max() <= 1e-12 * mod.max()
+        full = grid.expand_even(coeffs, vals)[1]
         observed.append(full[0] + 1j * full[1])
-        return energy_value(grid, coeffs, values, power)
+        return energy_value(grid, coeffs, mod, power, diag)
 
     monkeypatch.setattr(dynamics, "energy_value", spy)
     tr = evolve(psi0, params, cfg, snapshot_dir=tmp_path)
@@ -114,6 +117,37 @@ def test_fused_steps_match_two_half_step_loop(stable_state, tmp_path, monkeypatc
     assert np.abs(tr.mass - mass).max() <= 1e-12 * mass[0]
     final, _ = load_field(tmp_path / "psi_00000050")
     assert np.abs(final.values - states[50]).max() <= 1e-12 * scale
+
+
+def test_observing_does_not_perturb_the_trajectory(stable_state):
+    # a record splits the rotation into two half-steps that turn by one
+    # angle; recording every step or every 7th must give the same records
+    u, params = stable_state.u, stable_state.params
+    every_step, every_7th = (
+        evolve(perturbed_state(u, cfg), params, cfg, reference=u)
+        for cfg in (EvolutionConfig(dt=1e-3, T=0.049, perturbation=0.03, record_every=n)
+                    for n in (1, 7)))
+    assert len(every_step.t) == 50 and len(every_7th.t) == 8
+    for name in ("t", "mass", "energy", "orbital_distance"):
+        a, b = getattr(every_step, name)[::7], getattr(every_7th, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_energy_check_reads_the_record_at_step_10(stable_state, monkeypatch):
+    # at the default cadence step 10 is a record point, and the drift check
+    # reads that record's energy instead of computing it again
+    cfg = EvolutionConfig(dt=1e-3, T=0.05, perturbation=0.03)
+    assert cfg.record_every == dynamics.ENERGY_CHECK_STEP
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return energy_value(*args)
+
+    monkeypatch.setattr(dynamics, "energy_value", counting)
+    tr = evolve(perturbed_state(stable_state.u, cfg), stable_state.params, cfg)
+    # the start's e0, then records 0, 10, ..., 50
+    assert len(tr.t) == 6 and len(calls) == 7
 
 
 @pytest.mark.parametrize("p", [4.0, 3.0], ids=["p=4", "p=3"])
@@ -185,9 +219,11 @@ def test_two_bump_record_values_match_full_grid(stable_state, p):
     assert psi.even_z
     pair = np.stack([g.reduce_even(c), g.reduce_even(c.imag)])
     vals = g.half_values(np.stack([psi.values.real, psi.values.imag]))
+    mod = vals[0] ** 2 + vals[1] ** 2
     mass, energy, dist = _full_grid_record(psi, u, p)
-    assert float(g.quad_even(vals[0] ** 2 + vals[1] ** 2)) == pytest.approx(mass, rel=1e-12)
-    assert energy_value(g, pair, vals, p) == pytest.approx(energy, rel=1e-12)
+    assert float(g.quad_even(mod)) == pytest.approx(mass, rel=1e-12)
+    assert energy_value(g, pair, mod, p, g.lin_diag(pair.shape[-1], 0.0)) == \
+        pytest.approx(energy, rel=1e-12)
     assert abs(dynamics.orbital_distance_data(pair, dynamics._reference_data(u)) - dist) <= 1e-12
     # unshifted, the best phase leaves a larger distance
     hw = g.lin_diag(g.Mz, 1.0)
@@ -305,7 +341,8 @@ def test_energy_functional_value(stable_state):
     u = stable_state.u
     g = u.grid
     pair = np.stack([g.reduce_even(u.coeffs), np.zeros((g.K, g.Mz // 2 + 1))])
-    e = energy_value(g, pair, g.half_values(np.stack([u.values, 0.0 * u.values])), 4.0)
+    mod = g.half_values(u.values) ** 2
+    e = energy_value(g, pair, mod, 4.0, g.lin_diag(pair.shape[-1], 0.0))
     assert np.isfinite(e)
     # energy of the standing wave: action at lambda=0 identity
     from confinement_lab.functionals import report
