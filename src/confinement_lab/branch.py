@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LAMBDA0, Field, ModelParams
-from .errors import (BracketNotFound, ConfinementLabError, InsufficientTail,
-                     MassTooLarge, NotConverged)
+from .errors import BracketNotFound, ConfinementLabError, MassTooLarge, NotConverged
 from .ground_state import (COLLAPSE_MASS, FAR_SWITCH, GroundStateResult, Resolution,
                            SolverOptions, grid_for, linearized_smallest_eigs, solve_chi,
                            solve_ground_state)
@@ -141,7 +140,7 @@ def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
                                            resolution=resolution, warm=result)
     eig_min = float("nan")
     if compute_eig:
-        eig_min = linearized_smallest_eigs(result.problem, result.u.values, n=1)[0][0]
+        eig_min = float(linearized_smallest_eigs(result.problem, result.u.values, n=1)[0])
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
                         stability=classify_slope(result.params.tau * slope / result.mass),
@@ -193,58 +192,6 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
 
 
 # -- asymptotic constants --------------------------------------------------------
-
-N_TAIL = 3    # tail samples in an asymptotic fit
-
-
-@dataclass(frozen=True)
-class AsymptoticFit:
-    regime: str
-    exponent: float                 # power of |lambda| (far) or tau (near)
-    parameters: np.ndarray          # |lambda| or tau per sample, ascending toward the limit
-    premultiplied: np.ndarray       # factor * M(lambda) per sample
-    extrapolated: float
-    predicted: float                # limit-problem mass integral
-
-
-def asymptotic_constants(curve: BranchCurve, regime: str) -> AsymptoticFit:
-    """Premultiplied mass along the N_TAIL samples of a tail closest to
-    its limit, and the limit-problem prediction.
-
-    far:  |lambda|^{3/2 - 2/(p-2)} M(lambda) -> int vtilde^2
-    near: tau^{1/2 - 2/(p-2)} M(lambda)      -> int what^2
-    """
-    p = curve.p
-    lams = curve.lambdas()
-    masses = curve.masses()
-    if regime == "far":
-        sel = lams < 0
-        if sel.sum() < N_TAIL:
-            raise InsufficientTail(f"need {N_TAIL} far samples, have {int(sel.sum())}")
-        order = np.argsort(lams[sel])[:N_TAIL]          # most negative first
-        par = -lams[sel][order]
-        expo = 1.5 - 2.0 / (p - 2.0)
-        vals = par**expo * masses[sel][order]
-        predicted = shoot_3d(p, rtol=1e-10).mass
-    elif regime == "near":
-        tau = LAMBDA0 - lams
-        order = np.argsort(tau)[:N_TAIL]                # smallest tau first
-        if order.size < N_TAIL:
-            raise InsufficientTail(f"need {N_TAIL} near samples")
-        par = tau[order]
-        expo = 0.5 - 2.0 / (p - 2.0)
-        vals = par**expo * masses[order]
-        predicted = soliton_1d(p).mass
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    # linear-in-parameter extrapolation from the two samples closest to the limit
-    q1, q0 = vals[1], vals[0]
-    p1, p0 = par[1], par[0]
-    extrap = q0 - p0 * (q1 - q0) / (p1 - p0)
-    return AsymptoticFit(regime=regime, exponent=expo, parameters=par,
-                         premultiplied=vals, extrapolated=float(extrap),
-                         predicted=float(predicted))
-
 
 def slope_prefactor_far(p: float) -> float:
     """Limit of |lambda|^{(p-4)/(p-2) + 3/2} dM/dlambda: 2(1/(2-p) + 3/4) int vtilde^2."""
@@ -363,8 +310,8 @@ def find_mass_pair(p: float, c: float,
     """
     if not (10.0 / 3.0 < p < 6.0):
         raise ValueError(f"mass pair needs 10/3 < p < 6, got p={p}")
-    if c <= 0:
-        raise ValueError("prescribed norm must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"prescribed norm c={c} must be positive and finite")
 
     # far tail: M ~ |lambda|^{2/(p-2)-3/2} int vtilde^2, increasing in lambda
     low = _tail_mass_root(p, c, "far", math.log(LAMBDA0 + 8.0), 2.0 / (p - 2.0) - 1.5,

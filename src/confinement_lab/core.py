@@ -39,8 +39,8 @@ class ModelParams:
     def __post_init__(self):
         if not 2.0 < self.p < 6.0:
             raise ValueError(f"p={self.p} outside (2, 6)")
-        if not self.lam < LAMBDA0:
-            raise ValueError(f"lambda={self.lam} not below {LAMBDA0}")
+        if not -np.inf < self.lam < LAMBDA0:
+            raise ValueError(f"lambda={self.lam} must be finite and below {LAMBDA0}")
 
     @property
     def tau(self) -> float:

@@ -75,8 +75,8 @@ class EvolutionConfig:
     stop_when_distance: float | None = None   # early exit for escape runs
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
+            raise ValueError(f"dt={self.dt} and T={self.T} must be positive and finite")
         if not 0.0 <= self.perturbation <= 0.2:
             raise ValueError("perturbation amplitude outside [0, 0.2]")
         if self.shape not in PERTURBATION_SHAPES:

@@ -59,9 +59,5 @@ class BracketNotFound(ConfinementLabError):
     """Root bracketing for the prescribed-mass search failed."""
 
 
-class InsufficientTail(ConfinementLabError):
-    """Too few samples in the asymptotic tail to extrapolate."""
-
-
 class StepTooLarge(ConfinementLabError):
     """Time step rejected: energy drift over the first steps is too large."""

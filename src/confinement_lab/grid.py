@@ -199,18 +199,18 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
           omega: float = 1.0, oversample: int = 2) -> Discretization:
     """Construct a discretization and verify quadrature orthonormality.
 
-    Requires K >= 4, even Mz >= 8, Lz > 0.  The radial rule uses
-    oversample*K Gauss-Laguerre nodes so that basis products integrate
-    exactly and pointwise nonlinearities alias weakly (_radial_rule).
+    Requires K >= 4, even Mz >= 8 and finite Lz, omega > 0.  The radial
+    rule uses oversample*K Gauss-Laguerre nodes so that basis products
+    integrate exactly and pointwise nonlinearities alias weakly (_radial_rule).
     """
     if K < 4:
         raise ValueError(f"K={K} below minimum mode count 4")
     if Mz < 8 or Mz % 2 != 0:
         raise ValueError(f"Mz={Mz} must be even and >= 8")
-    if Lz <= 0:
-        raise ValueError("Lz must be positive")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < Lz < np.inf:
+        raise ValueError(f"Lz={Lz} must be positive and finite")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega={omega} must be positive and finite")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     # oversample=1 gives a square (unitary) transform, a bijection nodal <->

@@ -72,21 +72,19 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class StationaryProblem:
-    """[-Delta + |y|^2 - lam] u = |u|^{p-2}u on the grid's even-sector
-    arrays (apply_lin also takes full ones)."""
+    """[-Delta + |y|^2 - lam] u = |u|^{p-2}u on the grid's even-sector arrays."""
 
     grid: Discretization
     p: float
     lam: float
 
     @cached_property
-    def _diag(self) -> dict[int, np.ndarray]:
-        """The linear part's diagonal by axial column count (full, even sector)."""
-        g = self.grid
-        return {m: g.lin_diag(m, -self.lam) for m in (g.Mz, g.Mz // 2 + 1)}
+    def _diag(self) -> np.ndarray:
+        """The linear part's even-sector diagonal."""
+        return self.grid.lin_diag(self.grid.Mz // 2 + 1, -self.lam)
 
     def apply_lin(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.grid.apply_lin(coeffs, -self.lam, diag=self._diag[coeffs.shape[-1]])
+        return self.grid.apply_lin(coeffs, -self.lam, diag=self._diag)
 
     @cached_property
     def _precond_scale(self) -> np.ndarray:
@@ -95,7 +93,7 @@ class StationaryProblem:
         Lambda + xi^2 - lam in the radial eigenbasis."""
         g, m = self.grid, self.grid.Mz // 2 + 1
         if g.omega == 1.0:
-            return self._diag[m][:, :, None]
+            return self._diag[:, :, None]
         return (g.radial_eig[0][:, None] + g.xi[None, :m] ** 2 - self.lam)[:, :, None]
 
     def precond(self, x: np.ndarray, shift: float | np.ndarray = 0.0) -> np.ndarray:
@@ -134,14 +132,14 @@ class GroundStateResult:
     action_history: list = field(default_factory=list)
 
 
-def nehari_scale_t(problem: StationaryProblem, quad: float, lp: float) -> float:
-    """Unique positive scale t with t*u on the Nehari set of the problem,
+def nehari_scale_t(p: float, quad: float, lp: float) -> float:
+    """Unique positive scale t with t*u on the Nehari set at exponent p,
     from the quadratic form and the L^p integral of u."""
     if lp <= 0.0:
         raise ZeroField("Nehari projection of a (numerically) zero field")
     if quad <= 0.0:
         raise NotCoercive("quadratic form not positive; frequency out of range")
-    return (quad / lp) ** (1.0 / (problem.p - 2.0))
+    return (quad / lp) ** (1.0 / (p - 2.0))
 
 
 def _project(problem, coeffs):
@@ -149,7 +147,7 @@ def _project(problem, coeffs):
     there is (1/2 - 1/p) t^2 <c, L c>, and t L c."""
     values, lc = problem.grid.from_even(coeffs), problem.apply_lin(coeffs)
     quad = float(np.vdot(coeffs, lc))
-    t = nehari_scale_t(problem, quad, float(problem.grid.quad_even((values * values) ** (problem.p / 2))))
+    t = nehari_scale_t(problem.p, quad, float(problem.grid.quad_even((values * values) ** (problem.p / 2))))
     return t * coeffs, t * values, (0.5 - 1.0 / problem.p) * t * t * quad, t * lc
 
 
@@ -326,9 +324,8 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
 
 def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     """Scale any field u onto the Nehari set of the physical problem at params."""
-    prob = StationaryProblem(u.grid, params.p, params.lam)
-    lp = float(u.grid.quad(np.abs(u.values) ** prob.p))
-    t = nehari_scale_t(prob, float(np.real(np.vdot(u.coeffs, prob.apply_lin(u.coeffs)))), lp)
+    quad = float(np.real(np.vdot(u.coeffs, u.grid.apply_lin(u.coeffs, -params.lam))))
+    t = nehari_scale_t(params.p, quad, float(u.grid.quad(np.abs(u.values) ** params.p)))
     return t, t * u
 
 
@@ -454,13 +451,13 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
 
 
 def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: int, maxiter: int = 800):
-    """n smallest eigenpairs of the second variation of the action at the
-    real, even state with full-grid nodal values `values`, restricted to the
-    symmetric sector: the linear part minus (p-1)|u|^{p-2}.
+    """The n smallest eigenvalues, ascending, of the second variation of the
+    action at the real, even state with full-grid nodal values `values`,
+    restricted to the symmetric sector: the linear part minus (p-1)|u|^{p-2}.
 
     lobpcg started from the state, which spans the single negative
     direction of a ground state; falls back to Lanczos if it fails or does
-    not converge.  Each returned pair is residual-checked to 1e-6 * ||phi||.
+    not converge.  Each eigenpair is residual-checked to 1e-6 * ||phi||.
     """
     g, half = problem.grid, problem.grid.half_values(values)
     op = _sector_hessian(problem, half)
@@ -483,8 +480,7 @@ def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: 
     bad = np.flatnonzero(resid > 1e-6 * np.linalg.norm(vecs, axis=0))
     if bad.size:
         raise EigsNotConverged(f"eigenpair {bad[0]} residual {resid[bad[0]]:.2e}")
-    return [(float(vals[i]), Field(g, coeffs=g.expand_even(vecs[:, i].reshape(g.K, -1)),
-                                   real=True)) for i in range(n)]
+    return vals
 
 
 def solve_chi(result: GroundStateResult, rtol: float = 1e-10, maxiter: int = 3000) -> tuple[Field, float]:

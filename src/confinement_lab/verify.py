@@ -132,8 +132,7 @@ def check_slopes(p: float, resolution=Resolution()) -> dict:
         params = ModelParams(p=p, lam=lam)
         res = solve_ground_state(params, resolution=resolution)
         sample = analyze_sample(res, compute_fd=True, compute_eig=False, resolution=resolution)
-        eigs = linearized_smallest_eigs(res.problem, res.u.values, n=2)
-        eig_min, eig_second = eigs[0][0], eigs[1][0]
+        eig_min, eig_second = linearized_smallest_eigs(res.problem, res.u.values, n=2).tolist()
         agree = abs(sample.slope_chi - sample.slope_fd) <= max(
             0.01 * abs(sample.slope_fd), 1e-6)
         rows.append({"lambda": lam, "slope_chi": sample.slope_chi,

@@ -4,7 +4,7 @@ import pytest
 from confinement_lab.core import ModelParams
 from confinement_lab.grid import build
 from confinement_lab.ground_state import solve_ground_state
-from confinement_lab.limits import shoot_3d, soliton_1d
+from confinement_lab.limits import shoot_3d
 
 
 @pytest.fixture(scope="session")
@@ -45,11 +45,6 @@ def zero_field(grid):
 @pytest.fixture(scope="session")
 def shot3d_p4():
     return shoot_3d(4.0, rtol=1e-12)
-
-
-@pytest.fixture(scope="session")
-def soliton_p4():
-    return soliton_1d(4.0)
 
 
 @pytest.fixture(scope="session")

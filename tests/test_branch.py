@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from confinement_lab.branch import (SLOPE_TOL, BranchCurve, BranchSample, analyze_sample,
-                                    asymptotic_constants, classify_slope,
-                                    default_lambda_grid, find_mass_pair,
+                                    classify_slope, default_lambda_grid, find_mass_pair,
                                     mass_sup_scan, slope_prefactor_far,
                                     slope_finite_difference, slope_prefactor_near, sweep)
 from confinement_lab.core import LAMBDA0, ModelParams
-from confinement_lab.errors import BracketNotFound, InsufficientTail, MassTooLarge
+from confinement_lab.errors import BracketNotFound, MassTooLarge
 from confinement_lab.ground_state import Resolution, solve_chi, solve_ground_state
 
 
@@ -105,26 +104,6 @@ def test_mass_sup_scan_empty_interior_flagged():
     assert scan.flagged
 
 
-def test_asymptotic_constants(small_curve, shot3d_p4, soliton_p4):
-    far = asymptotic_constants(small_curve, "far")
-    assert far.exponent == pytest.approx(0.5)
-    assert far.predicted == pytest.approx(shot3d_p4.mass, rel=1e-6)
-    assert abs(far.premultiplied[0] / far.predicted - 1.0) <= 0.05
-    near = asymptotic_constants(small_curve, "near")
-    assert near.exponent == pytest.approx(-0.5)
-    assert near.predicted == pytest.approx(soliton_p4.mass, rel=1e-12)
-    assert abs(near.premultiplied[0] / near.predicted - 1.0) <= 0.05
-    # extrapolation improves on the closest raw sample
-    assert abs(near.extrapolated / near.predicted - 1.0) <= \
-        abs(near.premultiplied[0] / near.predicted - 1.0)
-
-
-def test_asymptotic_constants_insufficient_tail():
-    s = [BranchSample(1.9, 0.5, 0.2, -1e-3, np.nan, "stable", np.nan)]
-    with pytest.raises(InsufficientTail):
-        asymptotic_constants(BranchCurve(p=4.0, samples=s), "far")
-
-
 def test_slope_prefactors_signs():
     # mass-supercritical window: far prefactor positive, near always negative
     assert slope_prefactor_far(4.0) > 0
@@ -138,6 +117,20 @@ def test_find_mass_pair_preconditions():
         find_mass_pair(3.0, 1.0)            # needs 10/3 < p
     with pytest.raises(ValueError):
         find_mass_pair(4.0, 0.0)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_find_mass_pair_rejects_non_finite_norm(c, monkeypatch):
+    """A non-finite norm is refused before any solve: with c = inf every
+    mass would pass the relative test |M - c^2| <= rel_tol c^2."""
+    from confinement_lab import branch
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved for a non-finite norm")
+
+    monkeypatch.setattr(branch, "continued_solve", no_solve)
+    with pytest.raises(ValueError, match="finite"):
+        find_mass_pair(4.0, c)
 
 
 # (p, c, lambda_low, lambda_high) on the default grid at mass_rel_tol = 1e-7,
@@ -365,7 +358,7 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     on the far grid of radial basis frequency |lambda|."""
     from confinement_lab.ground_state import linearized_smallest_eigs
     res = request.getfixturevalue(state)
-    ref = linearized_smallest_eigs(res.problem, res.u.values, n=3)[0][0]
+    ref = linearized_smallest_eigs(res.problem, res.u.values, n=3)[0]
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
 
 

@@ -155,12 +155,24 @@ def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
     real = verify.linearized_smallest_eigs
 
     def two_negative(*args, **kwargs):
-        return [(-abs(v), phi) for v, phi in real(*args, **kwargs)]
+        return -np.abs(real(*args, **kwargs))
 
     monkeypatch.setattr(verify, "linearized_smallest_eigs", two_negative)
     verdict = verify.check_slopes(4.0)
     assert verdict["verdict"] == "fail" and verdict["morse_index_one"] is False
     assert verdict["signs_ok"] and all(r["agree"] for r in verdict["rows"])
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["pair", "--c", "inf"], "pair.json"),
+    (["evolve", "--lambda", "1.8", "--dt", "inf", "--T", "1"], "trace.csv")])
+def test_non_finite_setting_exits_2_without_output(tmp_path, capsys, argv, output):
+    """An infinite norm or time step is a configuration error: exit 2, and
+    no result file is written."""
+    out = tmp_path / "nf"
+    assert main([*argv, "--p", "4", "--K", "16", "--Mz", "64", "--outdir", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / output).exists()
 
 
 def test_evolve_subcommand(tmp_path):
@@ -299,3 +311,15 @@ def test_solve_and_evolve_run_without_scipy(tmp_path):
     assert (tmp_path / "sweep" / "branch.csv").is_file()
     assert (tmp_path / "evolve" / "trace.csv").is_file()
     assert (tmp_path / "pair" / "pair.json").is_file()
+
+
+def test_package_import_loads_no_submodule():
+    """import confinement_lab in a fresh interpreter loads the package alone;
+    every name is imported from the module that defines it."""
+    src = str(Path(confinement_lab.__file__).resolve().parents[1])
+    code = ("import sys, confinement_lab; "
+            "print(sorted(m for m in sys.modules if m.startswith('confinement_lab.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,8 @@ def test_lambda0_exact():
     assert ModelParams(p=4.0, lam=0.0).tau == 2.0
 
 
-@pytest.mark.parametrize("p,lam", [(1.9, 0.0), (6.0, 0.0), (4.0, 2.0), (4.0, 2.5)])
+@pytest.mark.parametrize("p,lam", [(1.9, 0.0), (6.0, 0.0), (4.0, 2.0), (4.0, 2.5),
+                                   (4.0, -math.inf), (4.0, math.nan)])
 def test_params_rejects_out_of_range(p, lam):
     with pytest.raises(ValueError):
         ModelParams(p=p, lam=lam)

@@ -29,6 +29,12 @@ def test_config_validation():
         EvolutionConfig(shape="wiggle")
 
 
+@pytest.mark.parametrize("dt, T", [(np.inf, 1.0), (np.nan, 1.0), (2e-3, np.inf), (2e-3, np.nan)])
+def test_config_rejects_non_finite_times(dt, T):
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig(dt=dt, T=T)
+
+
 def test_standing_wave_short(stable_state):
     params = stable_state.params
     cfg = EvolutionConfig(dt=1e-3, T=1.0, record_every=100)

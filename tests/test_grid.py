@@ -20,6 +20,12 @@ def test_build_rejects_bad_sizes():
         build(K=8, Mz=16, Lz=-1.0)
 
 
+@pytest.mark.parametrize("Lz, omega", [(np.inf, 1.0), (np.nan, 1.0), (8.0, np.inf), (8.0, np.nan)])
+def test_build_rejects_non_finite_box_and_frequency(Lz, omega):
+    with pytest.raises(ValueError, match="finite"):
+        build(K=8, Mz=16, Lz=Lz, omega=omega)
+
+
 def test_gram_orthonormal(small_grid):
     G = small_grid.proj @ small_grid.phi
     assert np.abs(G - np.eye(small_grid.K)).max() <= 1e-10
