@@ -10,7 +10,10 @@ finite differences are the cross-check.  The same chi is the branch
 tangent: every warm-started solve is a continued_solve from the previous
 state, by the Euler predictor u + (lambda' - lambda) chi unless the grid
 changes within its family, that falls back to the cold start, and the
-sweep is one such chain over its sorted grid.
+sweep is one such chain over its sorted grid.  The sweep carries the
+eigenvector of the lowest sector eigenvalue along the chain the same way:
+within a grid family each sample's eigensolve starts from the previous
+sample's, which is closer to its own than the state is.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from .core import LAMBDA0, Field, ModelParams
 from .errors import BracketNotFound, ConfinementLabError, MassTooLarge, NotConverged
-from .ground_state import (COLLAPSE_MASS, FAR_SWITCH, GroundStateResult, Resolution,
-                           SolverOptions, grid_for, linearized_smallest_eigs, solve_chi,
+from .ground_state import (COLLAPSE_MASS, GroundStateResult, Resolution, SolverOptions,
+                           grid_family, grid_for, linearized_smallest_eigs, solve_chi,
                            solve_ground_state)
 from .limits import shoot_3d, soliton_1d
 
@@ -42,9 +45,10 @@ class BranchSample:
     slope_fd: float          # nan when not computed
     stability: str           # "stable" | "unstable" | "undetermined"
     eig_min: float           # smallest symmetric-sector eigenvalue (nan if skipped)
-    # chi = du/dlambda; not in the CSV, and a sweep drops it once the
-    # next solve has its start
+    # chi = du/dlambda and the (N, 1) even-sector eigenvector of eig_min; not
+    # in the CSV, and a sweep drops both once the next sample has its starts
     tangent: Field | None = field(default=None, repr=False, compare=False)
+    mode: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def row(self) -> list:
         return [self.lam, self.mass, self.action, self.slope_chi,
@@ -92,10 +96,9 @@ def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent
     """Continue the branch from warm to params.lam within REFINE_ITERS
     iterations, from the cold start when that fails or there is no warm state.
 
-    Within one grid_for family (both lambda <= FAR_SWITCH, or both tau < 1)
-    the grids are dilations of one another, so a start onto a new grid of
-    warm's family is warm.u's nodal values on the dilated nodes, its
-    amplitude left to the Nehari projection.  Otherwise it is the Euler
+    Within one grid_family the grids are dilations of one another, so a
+    start onto a new grid of warm's family is warm.u's nodal values on the
+    dilated nodes, its amplitude left to the Nehari projection.  Otherwise it is the Euler
     predictor warm.u + (lambda - warm.lambda) * tangent (warm.u without a
     tangent), which solve_ground_state resamples across a family switch.
     """
@@ -103,8 +106,7 @@ def continued_solve(params: ModelParams, warm: GroundStateResult | None, tangent
     if warm is not None:
         src, old = warm.u.grid, warm.params
         if (not src.compatible(grid) and (src.K, src.Mz, src.nr) == (grid.K, grid.Mz, grid.nr)
-                and (old.lam <= FAR_SWITCH) == (params.lam <= FAR_SWITCH)
-                and (old.tau < 1.0) == (params.tau < 1.0)):
+                and grid_family(old) == grid_family(params)):
             init = Field(grid, values=warm.u.values, real=True)
         else:
             init = warm.u if tangent is None else warm.u + (params.lam - old.lam) * tangent
@@ -129,23 +131,25 @@ def slope_finite_difference(p: float, lam: float,
 
 
 def analyze_sample(result: GroundStateResult, compute_fd: bool = False,
-                   compute_eig: bool = True,
-                   resolution: Resolution = Resolution()) -> BranchSample:
-    """Slope, stability tag, lowest sector eigenvalue and tangent of one
-    state; solve_chi's error on a near-singular chi solve propagates."""
+                   compute_eig: bool = True, resolution: Resolution = Resolution(),
+                   start: np.ndarray | None = None) -> BranchSample:
+    """Slope, stability tag, lowest sector eigenvalue with its eigenvector
+    (mode), and tangent of one state; the eigensolve starts from `start`
+    when given (linearized_smallest_eigs).  solve_chi's error on a
+    near-singular chi solve propagates."""
     tangent, slope = solve_chi(result)
     slope_fd = float("nan")
     if compute_fd:
         slope_fd = slope_finite_difference(result.params.p, result.params.lam,
                                            resolution=resolution, warm=result)
-    eig_min = float("nan")
+    eig_min, mode = float("nan"), None
     if compute_eig:
-        eig_min = float(linearized_smallest_eigs(result.problem, result.u.values, n=1)[0])
+        vals, mode = linearized_smallest_eigs(result.problem, result.u.values, n=1, start=start)
+        eig_min = float(vals[0])
     return BranchSample(lam=result.params.lam, mass=result.mass, action=result.action,
                         slope_chi=slope, slope_fd=slope_fd,
                         stability=classify_slope(result.params.tau * slope / result.mass),
-                        eig_min=eig_min,
-                        tangent=tangent)
+                        eig_min=eig_min, tangent=tangent, mode=mode)
 
 
 def default_lambda_grid(lam_min: float = -40.0, tau_min: float = 0.05) -> np.ndarray:
@@ -165,9 +169,11 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     negative frequency up.
 
     The first sample starts cold; each later one is a continued_solve from
-    the last sample that succeeded, with that sample's tangent chi.  A
-    sample that fails (its solve, its chi solve or its eigensolve) is kept
-    in failures as (lambda, exception) and fails alone.
+    the last sample that succeeded, with that sample's tangent chi, and its
+    eigensolve starts from that sample's mode when both frequencies share a
+    grid_family (from the state otherwise).  A sample that fails (its solve,
+    its chi solve or its eigensolve) is kept in failures as (lambda,
+    exception) and fails alone.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -177,16 +183,19 @@ def sweep(p: float, lambda_grid: Sequence[float] | None = None,
     if lams[-1] >= LAMBDA0:
         raise ValueError("grid must stay below the planar spectral bottom")
     curve = BranchCurve(p=p)
-    warm = tangent = None
+    warm = tangent = mode = None
     for lam in lams:
+        params = ModelParams(p=p, lam=lam)
+        start = mode if warm is not None and grid_family(warm.params) == grid_family(params) else None
         try:
-            result = continued_solve(ModelParams(p=p, lam=lam), warm, tangent, resolution)
+            result = continued_solve(params, warm, tangent, resolution)
             sample = analyze_sample(result, compute_fd=compute_fd, compute_eig=compute_eig,
-                                    resolution=resolution)
+                                    resolution=resolution, start=start)
         except ConfinementLabError as exc:
             curve.failures.append((lam, exc))
             continue
-        warm, tangent, sample.tangent = result, sample.tangent, None
+        warm, tangent, mode = result, sample.tangent, sample.mode
+        sample.tangent = sample.mode = None
         curve.samples.append(sample)
     return curve
 
@@ -295,6 +304,14 @@ def _tail_mass_root(p, c, tail, x, expo, window, resolution, rel_tol):
                        what=f"{tail}-tail mass search")
 
 
+def check_mass_pair(p: float, c: float) -> None:
+    """Raise ValueError unless 10/3 < p < 6 and c is positive and finite."""
+    if not (10.0 / 3.0 < p < 6.0):
+        raise ValueError(f"mass pair needs 10/3 < p < 6, got p={p}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"prescribed norm c={c} must be positive and finite")
+
+
 def find_mass_pair(p: float, c: float,
                    resolution: Resolution = Resolution(),
                    mass_rel_tol: float = 1e-7) -> MassPair:
@@ -308,10 +325,7 @@ def find_mass_pair(p: float, c: float,
     soliton's mass law gives c^2.  The returned pair carries stability
     tags from the slope criterion: the larger frequency is the stable one.
     """
-    if not (10.0 / 3.0 < p < 6.0):
-        raise ValueError(f"mass pair needs 10/3 < p < 6, got p={p}")
-    if not 0 < c < math.inf:
-        raise ValueError(f"prescribed norm c={c} must be positive and finite")
+    check_mass_pair(p, c)
 
     # far tail: M ~ |lambda|^{2/(p-2)-3/2} int vtilde^2, increasing in lambda
     low = _tail_mass_root(p, c, "far", math.log(LAMBDA0 + 8.0), 2.0 / (p - 2.0) - 1.5,

@@ -23,7 +23,7 @@ from .core import ModelParams, save_field
 from .errors import ConfinementLabError, EigsNotConverged, NearSingular, NotConverged
 from .functionals import report
 from .ground_state import Resolution, solve_ground_state
-from .branch import (analyze_sample, default_lambda_grid, find_mass_pair,
+from .branch import (analyze_sample, check_mass_pair, default_lambda_grid, find_mass_pair,
                      mass_sup_scan, sweep)
 from .limits import profiles_to_csv, shoot_1d, shoot_3d, soliton_1d
 from .dynamics import PERTURBATION_SHAPES, EvolutionConfig, evolve, perturbed_state
@@ -138,13 +138,17 @@ def _write_config(args) -> None:
 
 
 def _prep(args) -> Resolution:
+    """The checked grid settings; run_config.json is written after them, so
+    each command checks its own settings before it calls this, and a
+    configuration error leaves no output directory behind."""
+    res = Resolution(K=args.K, Mz=args.Mz, Lz=args.Lz)
     _write_config(args)
-    return Resolution(K=args.K, Mz=args.Mz, Lz=args.Lz)
+    return res
 
 
 def cmd_solve(args) -> int:
-    res = _prep(args)
     params = ModelParams(p=args.p, lam=args.lam)
+    res = _prep(args)
     result = solve_ground_state(params, resolution=res)
     rep = report(result.u, params)
     sample = analyze_sample(result)
@@ -168,11 +172,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    res = _prep(args)
     if args.lambda_grid:
         grid = _floats(args.lambda_grid)
     else:
         grid = default_lambda_grid(lam_min=args.lambda_min, tau_min=args.tau_min)
+    for lam in grid:    # p and every frequency are checked before _prep writes
+        ModelParams(p=args.p, lam=lam)
+    res = _prep(args)
     curve = sweep(args.p, grid, resolution=res,
                   compute_fd=args.with_fd, compute_eig=not args.skip_eigs)
     for lam, exc in curve.failures:
@@ -219,6 +225,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    check_mass_pair(args.p, args.c)
     res = _prep(args)
     pair = find_mass_pair(args.p, args.c, resolution=res)
     meta = {
@@ -237,11 +244,11 @@ def cmd_pair(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    res = _prep(args)
     cfg = EvolutionConfig(dt=args.dt, T=args.T, perturbation=args.perturbation,
                           shape=args.shape, record_every=args.record_every,
                           seed=args.seed)
     params = ModelParams(p=args.p, lam=args.lam)
+    res = _prep(args)
     result = solve_ground_state(params, resolution=res)
     psi0 = perturbed_state(result.u, cfg)
     snap_dir = None

@@ -77,6 +77,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
             raise ValueError(f"dt={self.dt} and T={self.T} must be positive and finite")
+        steps = self.T / self.dt    # inf when the quotient overflows
+        if not (0.5 <= steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"T={self.T} is not a positive whole number of steps dt={self.dt}")
         if not 0.0 <= self.perturbation <= 0.2:
             raise ValueError("perturbation amplitude outside [0, 0.2]")
         if self.shape not in PERTURBATION_SHAPES:
@@ -175,7 +178,7 @@ def evolve(psi0: Field, params: ModelParams, cfg: EvolutionConfig,
         # spectral is unitary, so both sub-steps are exact L^2 isometries
         g = build(K=g.K, Mz=g.Mz, Lz=g.Lz, omega=g.omega, oversample=1)
     p, dt = params.p, cfg.dt
-    n_steps = int(round(cfg.T / dt))
+    n_steps = int(round(cfg.T / dt))     # within 1e-9 of T / dt (EvolutionConfig)
     ref_data = _reference_data(reference) if reference is not None else None
 
     c = psi0.coeffs
@@ -329,8 +332,10 @@ def orbital_distance_data(coeffs: np.ndarray, ref: dict) -> float:
 
     z0, bz = _best_shift(series, g.dz * int(np.argmax(np.hypot(*scan))), g.dz)
     phase = np.exp(1j * np.angle(bz))
-    shifted = np.cos(xi * z0) * ref["uc"]
-    d2 = ref["col"] @ np.sin(xi * z0) ** 2
+    shifted, d2 = ref["uc"], 0.0     # at z0 = 0 (even states): cos = 1, sin = 0
+    if z0 != 0.0:
+        shifted = np.cos(xi * z0) * ref["uc"]
+        d2 = ref["col"] @ np.sin(xi * z0) ** 2
     for plane, r in zip(coeffs, (phase.real, phase.imag)):
         resid = r * shifted
         resid -= plane

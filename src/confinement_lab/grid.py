@@ -194,6 +194,16 @@ class Discretization:
                 and self.Lz == other.Lz and self.omega == other.omega)
 
 
+def check_box(K: int, Mz: int, Lz: float) -> None:
+    """Raise ValueError unless K >= 4, Mz is even and >= 8, and Lz is positive and finite."""
+    if K < 4:
+        raise ValueError(f"K={K} below minimum mode count 4")
+    if Mz < 8 or Mz % 2 != 0:
+        raise ValueError(f"Mz={Mz} must be even and >= 8")
+    if not 0 < Lz < np.inf:
+        raise ValueError(f"Lz={Lz} must be positive and finite")
+
+
 @lru_cache(maxsize=64)
 def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
           omega: float = 1.0, oversample: int = 2) -> Discretization:
@@ -203,12 +213,7 @@ def build(K: int = DEFAULT_K, Mz: int = DEFAULT_MZ, Lz: float = DEFAULT_LZ,
     rule uses oversample*K Gauss-Laguerre nodes so that basis products
     integrate exactly and pointwise nonlinearities alias weakly (_radial_rule).
     """
-    if K < 4:
-        raise ValueError(f"K={K} below minimum mode count 4")
-    if Mz < 8 or Mz % 2 != 0:
-        raise ValueError(f"Mz={Mz} must be even and >= 8")
-    if not 0 < Lz < np.inf:
-        raise ValueError(f"Lz={Lz} must be positive and finite")
+    check_box(K, Mz, Lz)
     if not 0 < omega < np.inf:
         raise ValueError(f"omega={omega} must be positive and finite")
     if oversample < 1:

@@ -21,7 +21,14 @@ roundoff in L c floors it near the second term for states of large amplitude.
 
 The full-space Hessian at a ground state has exactly one negative
 direction in the symmetric sector, so the Newton refinement solves its
-(indefinite, self-adjoint) linear systems with MINRES.  Iterates, the
+(indefinite, self-adjoint) linear systems with MINRES.  The descent hands
+over to Newton once the gradient is below 1e-3 of the state's scale; each
+MINRES solve stops at the forcing term sqrt(||grad||) (Eisenstat & Walker
+1996), but no sooner than 0.3 tol / ||grad||, tol the stopping test's
+bound, beyond which a more accurate step cannot pass that test sooner.
+linearized_smallest_eigs returns the eigenvectors with the eigenvalues and
+takes a start block, so a sweep starts each eigensolve from the previous
+sample's eigenvector on a grid of the same family.  Iterates, the
 Hessian (applied in blocks by the in-repo LOBPCG) and the linearized
 solves all live on the grid's real even-in-z representation
 (Discretization.to_even: a DCT-I over the nodes z >= 0), which freezes the
@@ -44,8 +51,9 @@ from typing import Callable
 import numpy as np
 
 from .core import Field, ModelParams
-from .errors import CollapsedToZero, EigsNotConverged, NearSingular, NotCoercive, NotConverged, ZeroField
-from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, _even_dct, build
+from .errors import (CollapsedToZero, EigsNotConverged, NearSingular, NotCoercive, NotConverged,
+                     ShapeMismatch, ZeroField)
+from .grid import DEFAULT_K, DEFAULT_LZ, DEFAULT_MZ, Discretization, _even_dct, build, check_box
 from .scaling import resample
 
 # At and below this frequency the grid takes the free-soliton scale |lambda|^{-1/2}.
@@ -62,6 +70,9 @@ class Resolution:
     K: int = DEFAULT_K
     Mz: int = DEFAULT_MZ
     Lz: float = DEFAULT_LZ
+
+    def __post_init__(self):
+        check_box(self.K, self.Mz, self.Lz)
 
 
 @dataclass(frozen=True)
@@ -250,8 +261,8 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
         res = quad - lp
         mass = float(np.sum(c * c))
         gscale = quad / np.sqrt(mass)   # <= ||L c||, whose roundoff floors ||grad|| near eps * it
-        converged = (gn <= max(opts.tol_grad, 10.0 * EPS * gscale)
-                     and abs(res) <= TOL_NEHARI * max(lp, 1e-300))
+        tol = max(opts.tol_grad, 10.0 * EPS * gscale)
+        converged = gn <= tol and abs(res) <= TOL_NEHARI * max(lp, 1e-300)
         if converged or it > opts.max_iter:
             break
         if mass < COLLAPSE_MASS:
@@ -259,15 +270,20 @@ def iterate_ground_state(problem: StationaryProblem, coeffs0: np.ndarray,
 
         # Newton only once the gradient is small relative to the state's own
         # scale, else the refinement can lock onto a nearby excited critical
-        # point before the descent has relaxed the profile
-        if mode == "gradient" and gn < min(1e-4 * gscale, newton_below):
+        # point before the descent has relaxed the profile; at 1e-3 of it the
+        # descent has done so on cold solves over p in [2.5, 5.5], lambda in
+        # [-40, 1.99] (one negative sector eigenvalue at every result)
+        if mode == "gradient" and gn < min(1e-3 * gscale, newton_below):
             mode = "newton"
         if mode == "newton":
             if newton_used >= MAX_NEWTON:
                 break
             newton_used += 1
+            # forcing term sqrt(gn) (Eisenstat & Walker 1996), floored where a
+            # step that cuts gn to 0.3 tol already passes the stopping test
+            rtol = min(0.1, max(math.sqrt(gn), 0.3 * tol / max(gn, tol)))
             delta, info = minres(_sector_hessian(problem, un), grad.ravel(), M=problem.precond,
-                                 rtol=min(0.1, np.sqrt(gn)), maxiter=400)
+                                 rtol=rtol, maxiter=400)
             step = delta.reshape(c.shape)
             for _ in range(8 if info == 0 else 0):   # a failed solve gives no step
                 try:
@@ -329,6 +345,16 @@ def nehari_scale(u: Field, params: ModelParams) -> tuple[float, Field]:
     return t, t * u
 
 
+def grid_family(params: ModelParams) -> str:
+    """Which of grid_for's families a frequency falls in: "far" (lambda <=
+    FAR_SWITCH), "near" (tau < 1) or "unit".  At one Resolution the grids of
+    a family are dilations of one another, so an even-sector coefficient
+    array on one is the dilated function on another."""
+    if params.lam <= FAR_SWITCH:
+        return "far"
+    return "near" if params.tau < 1.0 else "unit"
+
+
 def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Discretization:
     """The grid for a frequency, its scale following the state's.
 
@@ -338,11 +364,11 @@ def grid_for(params: ModelParams, resolution: Resolution = Resolution()) -> Disc
     keeps a fixed box in stretched coordinates; in between the grid is the
     unit one.
     """
-    omega, stretch = 1.0, 1.0
-    if params.lam <= FAR_SWITCH:
+    family, omega, stretch = grid_family(params), 1.0, 1.0
+    if family == "far":
         omega = -params.lam
         stretch = 1.0 / np.sqrt(omega)
-    elif params.tau < 1.0:
+    elif family == "near":
         stretch = 1.0 / np.sqrt(params.tau)
     return build(resolution.K, resolution.Mz, resolution.Lz * stretch, omega=omega)
 
@@ -450,22 +476,30 @@ def lobpcg(A: Operator, X: np.ndarray, M: Callable[[np.ndarray], np.ndarray],
     raise EigsNotConverged(f"LOBPCG residual {rnorm.max():.2e} after {maxiter} iterations")
 
 
-def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: int, maxiter: int = 800):
+def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: int, maxiter: int = 800,
+                             start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The n smallest eigenvalues, ascending, of the second variation of the
     action at the real, even state with full-grid nodal values `values`,
-    restricted to the symmetric sector: the linear part minus (p-1)|u|^{p-2}.
+    restricted to the symmetric sector: the linear part minus (p-1)|u|^{p-2};
+    and the (N, n) block of their even-sector eigenvectors, N = K (Mz/2+1).
 
-    lobpcg started from the state, which spans the single negative
-    direction of a ground state; falls back to Lanczos if it fails or does
+    lobpcg starts from `start`, an (N, n) block such as the eigenvectors at
+    a nearby state on a grid of the same family (branch.sweep), else from
+    the state, which spans the single negative direction of a ground state,
+    with random columns beside it; falls back to Lanczos if it fails or does
     not converge.  Each eigenpair is residual-checked to 1e-6 * ||phi||.
     """
     g, half = problem.grid, problem.grid.half_values(values)
     op = _sector_hessian(problem, half)
-    X = seed = g.to_even(half).reshape(-1, 1)
-    if n > 1 or not np.linalg.norm(seed) > 1e-10:   # random columns beside the state, or for a zero one
-        X = np.random.default_rng(0).standard_normal((op.shape[0], n))
-        if np.linalg.norm(seed) > 1e-10:
-            X[:, :1] = seed
+    X = start
+    if X is None:
+        X = seed = g.to_even(half).reshape(-1, 1)
+        if n > 1 or not np.linalg.norm(seed) > 1e-10:   # random columns beside the state, or for a zero one
+            X = np.random.default_rng(0).standard_normal((op.shape[0], n))
+            if np.linalg.norm(seed) > 1e-10:
+                X[:, :1] = seed
+    elif X.shape != (op.shape[0], n):
+        raise ShapeMismatch(f"eigensolve start of shape {X.shape}, expected {(op.shape[0], n)}")
     try:
         vals, vecs = lobpcg(op, X, M=problem.precond, maxiter=maxiter)
     except (EigsNotConverged, np.linalg.LinAlgError):
@@ -480,7 +514,7 @@ def linearized_smallest_eigs(problem: StationaryProblem, values: np.ndarray, n: 
     bad = np.flatnonzero(resid > 1e-6 * np.linalg.norm(vecs, axis=0))
     if bad.size:
         raise EigsNotConverged(f"eigenpair {bad[0]} residual {resid[bad[0]]:.2e}")
-    return vals
+    return vals, vecs
 
 
 def solve_chi(result: GroundStateResult, rtol: float = 1e-10, maxiter: int = 3000) -> tuple[Field, float]:

@@ -358,8 +358,72 @@ def test_sample_eig_min_is_smallest_sector_eigenvalue(state, request):
     on the far grid of radial basis frequency |lambda|."""
     from confinement_lab.ground_state import linearized_smallest_eigs
     res = request.getfixturevalue(state)
-    ref = linearized_smallest_eigs(res.problem, res.u.values, n=3)[0]
+    ref = linearized_smallest_eigs(res.problem, res.u.values, n=3)[0][0]
     assert analyze_sample(res).eig_min == pytest.approx(ref, rel=1e-8)
+
+
+def _recorded_states(monkeypatch):
+    """Wrap branch.continued_solve to record each sample's solved state."""
+    from confinement_lab import branch
+    real, states = branch.continued_solve, []
+
+    def recording(*args, **kwargs):
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(branch, "continued_solve", recording)
+    return states
+
+
+def test_sweep_carries_the_eigenvector_within_grid_families(monkeypatch):
+    """Across both family switches, the first sample of each grid family
+    starts LOBPCG from its state and every later one from the previous
+    sample's mode; the stored samples keep neither mode nor tangent."""
+    from confinement_lab import ground_state
+    real_lobpcg, calls = ground_state.lobpcg, []
+
+    def recording(A, X, *args, **kwargs):
+        vals, vecs = real_lobpcg(A, X, *args, **kwargs)
+        calls.append((X.copy(), vecs.copy()))
+        return vals, vecs
+
+    monkeypatch.setattr(ground_state, "lobpcg", recording)
+    states = _recorded_states(monkeypatch)
+    lams = [-10.0, -7.0, -5.0, 0.5, 1.5, 1.8]
+    curve = sweep(4.0, lams, resolution=Resolution(K=24, Mz=128))
+    assert not curve.failures and len(calls) == len(states) == len(lams)
+    for i, (lam, res, (X, _)) in enumerate(zip(lams, states, calls)):
+        g = res.u.grid
+        if lam in (-10.0, -5.0, 1.5):    # far, unit and near: each family's first
+            expected = g.to_even(g.half_values(res.u.values)).reshape(-1, 1)
+        else:
+            expected = calls[i - 1][1]
+        assert np.array_equal(X, expected), lam
+    assert all(s.mode is None and s.tangent is None for s in curve.samples)
+
+
+def test_carried_eigenvector_gives_the_state_seeded_eig_min(monkeypatch):
+    """Every eig_min of the default p = 4 sweep, started from the previous
+    sample's mode within a grid family, equals the eigensolve started from
+    the same state to 1e-10 relative."""
+    from confinement_lab.ground_state import linearized_smallest_eigs
+    states = _recorded_states(monkeypatch)
+    curve = sweep(4.0)
+    assert not curve.failures and len(curve.samples) == len(states) == 28
+    for sample, res in zip(curve.samples, states):
+        (ref,), _ = linearized_smallest_eigs(res.problem, res.u.values, n=1)
+        assert sample.eig_min == pytest.approx(ref, rel=1e-10), sample.lam
+
+
+def test_sample_mode_is_not_part_of_the_record(state_mid_p4):
+    """analyze_sample keeps the (N, 1) eigenvector as mode, outside the CSV
+    row, the repr and equality, like the tangent."""
+    from dataclasses import replace
+    sample = analyze_sample(state_mid_p4)
+    g = state_mid_p4.u.grid
+    assert sample.mode.shape == (g.K * (g.Mz // 2 + 1), 1)
+    assert "mode" not in repr(sample) and len(sample.row()) == len(BranchCurve.CSV_HEADER)
+    assert replace(sample, mode=None, tangent=None) == sample
 
 
 @pytest.mark.parametrize("chain", [[-10.0, -8.0], [1.8, 1.9]])

@@ -155,7 +155,8 @@ def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
     real = verify.linearized_smallest_eigs
 
     def two_negative(*args, **kwargs):
-        return -np.abs(real(*args, **kwargs))
+        vals, vecs = real(*args, **kwargs)
+        return -np.abs(vals), vecs
 
     monkeypatch.setattr(verify, "linearized_smallest_eigs", two_negative)
     verdict = verify.check_slopes(4.0)
@@ -165,14 +166,28 @@ def test_verify_slopes_checks_morse_index(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, output", [
     (["pair", "--c", "inf"], "pair.json"),
-    (["evolve", "--lambda", "1.8", "--dt", "inf", "--T", "1"], "trace.csv")])
+    (["evolve", "--lambda", "1.8", "--dt", "inf", "--T", "1"], "trace.csv"),
+    (["solve", "--lambda", "0", "--Lz", "nan"], "result.json"),
+    (["solve", "--lambda=-inf"], "result.json")])
 def test_non_finite_setting_exits_2_without_output(tmp_path, capsys, argv, output):
-    """An infinite norm or time step is a configuration error: exit 2, and
-    no result file is written."""
+    """An infinite norm or time step, a non-finite box or frequency is a
+    configuration error: exit 2, checked before anything is written, so
+    neither the result file nor the output directory is made."""
     out = tmp_path / "nf"
     assert main([*argv, "--p", "4", "--K", "16", "--Mz", "64", "--outdir", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
-    assert not (out / output).exists()
+    assert not (out / output).exists() and not out.exists()
+
+
+@pytest.mark.parametrize("dt, T", [("0.3", "1"), ("1", "0.4")])
+def test_evolve_refuses_time_not_whole_steps(tmp_path, capsys, dt, T):
+    """evolve runs T / dt steps, so a T that is not a whole number of steps
+    exits 2 without an output directory, instead of ending at 0.9 or at 0."""
+    out = tmp_path / "ev"
+    assert main(["evolve", "--lambda", "1.8", "--dt", dt, "--T", T, "--K", "16", "--Mz", "64",
+                 "--outdir", str(out)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_subcommand(tmp_path):

@@ -35,6 +35,14 @@ def test_config_rejects_non_finite_times(dt, T):
         EvolutionConfig(dt=dt, T=T)
 
 
+@pytest.mark.parametrize("dt, T", [(0.3, 1.0), (1.0, 0.4), (1e-3, 0.0495), (1e-300, 1e300)])
+def test_config_rejects_time_not_whole_steps(dt, T):
+    """evolve runs T / dt steps: a T that is not within 1e-9 of a positive
+    whole number of steps is refused (1e300 / 1e-300 overflows to inf)."""
+    with pytest.raises(ValueError, match="whole number of steps"):
+        EvolutionConfig(dt=dt, T=T)
+
+
 def test_standing_wave_short(stable_state):
     params = stable_state.params
     cfg = EvolutionConfig(dt=1e-3, T=1.0, record_every=100)

@@ -4,7 +4,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from confinement_lab.core import LAMBDA0, Field, ModelParams
 from confinement_lab.errors import (CollapsedToZero, EigsNotConverged, NearSingular,
-                                    NotConverged, ZeroField)
+                                    NotConverged, ShapeMismatch, ZeroField)
 from confinement_lab.functionals import pohozaev_residual, report
 from confinement_lab.grid import build
 from confinement_lab import ground_state
@@ -262,7 +262,7 @@ def _sector_op(prob, values):
 
 
 def test_free_oscillator_smallest_eig(small_grid):
-    eigs = linearized_smallest_eigs(*_free(small_grid), n=3)
+    eigs, _ = linearized_smallest_eigs(*_free(small_grid), n=3)
     assert eigs[0] == pytest.approx(2.0, abs=1e-8)
 
 
@@ -287,17 +287,20 @@ def _dense_eigh(lin):
 @pytest.mark.parametrize("n", [1, 3])
 def test_smallest_eigs_match_dense_reference(tiny_lin, n, monkeypatch):
     """The block iteration (no Lanczos fallback) finds the n smallest
-    eigenvalues of the densified sector operator, and from a random start
-    its lowest vector."""
+    eigenvalues of the densified sector operator, from the state and from a
+    random start, and from the random start its lowest vector."""
     def no_fallback(*args, **kwargs):
         raise AssertionError("the block iteration fell back to eigsh")
 
     monkeypatch.setattr(ground_state, "eigsh", no_fallback)
     vals, vecs = _dense_eigh(tiny_lin)
-    eigs = linearized_smallest_eigs(*tiny_lin, n=n)
+    eigs, _ = linearized_smallest_eigs(*tiny_lin, n=n)
     assert np.allclose(eigs, vals[:n], rtol=1e-9, atol=0.0)
     X = np.random.default_rng(n).standard_normal((vecs.shape[0], n))
-    phi = ground_state.lobpcg(_sector_op(*tiny_lin), X, M=tiny_lin[0].precond)[1][:, 0]
+    eigs, modes = linearized_smallest_eigs(*tiny_lin, n=n, start=X)
+    assert np.allclose(eigs, vals[:n], rtol=1e-9, atol=0.0)
+    assert modes.shape == (vecs.shape[0], n)
+    phi = modes[:, 0]
     assert abs(phi @ vecs[:, 0]) == pytest.approx(np.linalg.norm(phi), rel=1e-9)
 
 
@@ -351,7 +354,7 @@ def test_unconverged_block_iteration_falls_back_to_lanczos(tiny_lin, monkeypatch
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(ground_state, "eigsh", counted)
-    eigs = linearized_smallest_eigs(*tiny_lin, n=1, maxiter=1)
+    eigs, _ = linearized_smallest_eigs(*tiny_lin, n=1, maxiter=1)
     assert calls == [1]
     assert eigs[0] == pytest.approx(_dense_eigh(tiny_lin)[0][0], rel=1e-9)
 
@@ -461,9 +464,29 @@ def test_eigensolve_applies_on_far_grid(state_far_p4, monkeypatch):
         return real_lobpcg(ground_state.Operator(A.shape, A.matvec, mm), X, M, **kwargs)
 
     monkeypatch.setattr(ground_state, "lobpcg", counted)
-    eig, = linearized_smallest_eigs(state_far_p4.problem, state_far_p4.u.values, n=1)
+    (eig,), _ = linearized_smallest_eigs(state_far_p4.problem, state_far_p4.u.values, n=1)
     assert eig < -600.0
     assert 0 < len(applies) <= 16
+
+
+def test_eigensolve_refuses_a_start_of_the_wrong_shape(small_grid):
+    problem, values = _free(small_grid)
+    N = small_grid.K * (small_grid.Mz // 2 + 1)
+    for shape in [(N, 2), (N - 1, 1), (N,)]:
+        with pytest.raises(ShapeMismatch):
+            linearized_smallest_eigs(problem, values, n=1, start=np.ones(shape))
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
+def test_cold_solves_land_on_ground_states(p):
+    """The descent hands over to Newton at a gradient of 1e-3 of the
+    state's scale; the cold solves across both grid-family switches still
+    land on ground states, with exactly one negative sector eigenvalue,
+    and not on excited critical points."""
+    for lam in (-40.0, -6.0, 0.0, 1.5, 1.95):
+        res = solve_ground_state(ModelParams(p=p, lam=lam))
+        (first, second), _ = linearized_smallest_eigs(res.problem, res.u.values, n=2)
+        assert first < 0.0 < second, lam
 
 
 def test_minres_matches_scipy_on_solve_chi_system(state_mid_p4):
@@ -505,7 +528,7 @@ def test_selfadjointness(state_near_p4, rng):
 
 
 def test_single_negative_direction_and_nondegeneracy(state_near_p4):
-    vals = linearized_smallest_eigs(state_near_p4.problem, state_near_p4.u.values, n=3)
+    vals, _ = linearized_smallest_eigs(state_near_p4.problem, state_near_p4.u.values, n=3)
     assert vals[0] < 0 < vals[1]                 # exactly one negative direction
     assert min(abs(v) for v in vals) > 1e-3      # numerically non-degenerate sector
 
